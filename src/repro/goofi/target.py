@@ -502,11 +502,14 @@ class TargetSystem:
         env = self.environment
         self._seat(self._cursor, cpu, env, reference, start_iteration)
 
-        # Replay the fault-free prefix of the injection iteration.
+        # Replay the fault-free prefix of the injection iteration in one
+        # call of the execution loop.  It enters the loop below the
+        # public ``run``, so whatever observes ``CPU.run`` sees the
+        # faulted suffix only, as it did when the prefix was stepped.
         replay = fault.time - reference.instructions_at[start_iteration]
-        for _ in range(replay):
-            result = cpu.step()
-            if result is StepResult.DETECTED:
+        if replay:
+            result = cpu._run(replay)
+            if result is not StepResult.OK:
                 raise CampaignError(
                     f"detection during fault-free replay: {cpu.detection}"
                 )

@@ -23,21 +23,24 @@ Dispatch
 The interpreter has two execution paths with identical observable
 behaviour:
 
-* **fast dispatch** (default): instruction words are *predecoded* into
-  per-word handler closures cached in :data:`_PREDECODE`.  A handler
-  carries its operand fields baked in and returns ``None`` (fall through
-  to ``pc + 4``), an ``int`` (branch target), or one of the
-  :data:`_YIELD`/:data:`_HALT` sentinels.  The cache is keyed by the raw
-  32-bit word, so a corrupted IR always dispatches through the corrupted
-  word's own handler — never a stale predecoded entry.
-* **traced dispatch**: the original decode + ``if``/``elif`` chain, used
-  whenever an access-trace recorder or a trace hook is attached (they
-  must observe every architectural access in order) or when
-  :attr:`CPU.fast_dispatch` is switched off for baseline measurements.
+* **the reference chain** (:meth:`CPU._execute`): decode, check, trace
+  and execute one instruction through :meth:`CPU._execute_chain`'s
+  ``if``/``elif`` chain.  It runs whenever an access-trace recorder or a
+  trace hook is attached (they must observe every architectural access
+  in order) or :attr:`CPU.fast_dispatch` is switched off, and it is the
+  oracle the tests compare the fast loop against.
+* **the table-driven loop** (:meth:`CPU.run`, default): instruction
+  words are predecoded into flat ``(op, a, b, c)`` entries in
+  :data:`_ENTRIES`, and the loop executes them inline over the CPU's
+  state hoisted into locals.  The table is keyed by the raw 32-bit
+  word, so a corrupted IR always dispatches through the corrupted word's
+  own entry — never a stale one.  Cold words (HALT/WFI/SETMODE, illegal
+  opcodes, register fields outside the register file) get a generic
+  entry that runs one step of the reference chain, so detection order
+  and detail strings are the chain's own.
 
-Words whose register fields fall outside the register file (possible
-only under fault) fall back to the traced chain's semantics through a
-generic handler, preserving the exact detection ordering and messages.
+:meth:`CPU.step` runs one instruction of the same loop; reference
+runs, prefix replay, faulted suffixes and batch lanes all go through it.
 """
 
 from __future__ import annotations
@@ -370,52 +373,23 @@ class CPU:
         exchange happens outside and execution resumes with the next
         :meth:`step` call.
         """
-        if self.detection is not None:
-            return StepResult.DETECTED
-        if self.halted:
-            return StepResult.HALTED
-        self.last_svc = None
-        try:
-            return self._execute()
-        except HardwareDetection as event:
-            self.detection = DetectionEvent(
-                mechanism=event.mechanism,
-                pc=self.pc,
-                instruction_index=self.instruction_index,
-                detail=event.detail,
-            )
-            notify_detection(self.detection)
-            return StepResult.DETECTED
+        return self._run(1)
+
+    def _freeze(self, event: HardwareDetection) -> StepResult:
+        """Record a detection at the current pc/instruction index."""
+        self.detection = DetectionEvent(
+            mechanism=event.mechanism,
+            pc=self.pc,
+            instruction_index=self.instruction_index,
+            detail=event.detail,
+        )
+        notify_detection(self.detection)
+        return StepResult.DETECTED
 
     def _execute(self) -> StepResult:
-        if (
-            self.recorder is None
-            and self.trace_hook is None
-            and self.fast_dispatch
-        ):
-            word = self.ir & _U32
-            handler = _PREDECODE.get(word)
-            if handler is None:
-                handler = _predecode(word)
-            r = handler(self)
-            self.instruction_index += 1
-            if r is None:
-                self.pc = (self.pc + WORD) & _U32
-            elif r.__class__ is int:
-                self.pc = r
-            elif r is _HALT:
-                # A halted CPU performs no further prefetch.
-                return StepResult.HALTED
-            else:  # _YIELD
-                self.pc = (self.pc + WORD) & _U32
-                self.ir = self.memory.fetch_word_cached(self.pc)
-                return StepResult.YIELD
-            self.ir = self.memory.fetch_word_cached(self.pc)
-            return StepResult.OK
-        return self._execute_traced()
-
-    def _execute_traced(self) -> StepResult:
-        """The original interpreter: decode, check, trace, execute."""
+        """One instruction through the reference chain: decode, check,
+        trace, execute, prefetch.  Detections propagate as
+        :class:`HardwareDetection`."""
         recorder = self.recorder
         if recorder is not None:
             recorder.now = self.instruction_index
@@ -644,60 +618,513 @@ class CPU:
     # -- convenience runners -----------------------------------------------------
     def run(self, max_instructions: int) -> StepResult:
         """Step until yield/halt/detection or the instruction budget ends."""
-        if (
-            self.recorder is not None
-            or self.trace_hook is not None
-            or not self.fast_dispatch
-        ):
-            for _ in range(max_instructions):
-                result = self.step()
-                if result is not StepResult.OK:
-                    return result
-            return StepResult.OK
-        # Fast inner loop: predecoded dispatch with the per-step flag
-        # checks hoisted out (nothing inside the loop can attach a
-        # recorder or trace hook).
+        return self._run(max_instructions)
+
+    def _run(self, max_instructions: int) -> StepResult:
+        """:meth:`run`'s body: the reference chain when tracing, the
+        table-driven loop otherwise.  :meth:`step` and fault-free prefix
+        replay enter here directly, so a profiler wrapping :meth:`run`
+        times reference runs and faulted suffixes only."""
         if self.detection is not None:
             return StepResult.DETECTED
         if self.halted:
             return StepResult.HALTED
         self.last_svc = None
-        predecode_get = _PREDECODE.get
-        build = _predecode
-        fetch = self.memory.fetch_word_cached
+        execute = self._execute
+        if (
+            self.recorder is not None
+            or self.trace_hook is not None
+            or not self.fast_dispatch
+        ):
+            try:
+                for _ in range(max_instructions):
+                    result = execute()
+                    if result is not StepResult.OK:
+                        return result
+            except HardwareDetection as event:
+                return self._freeze(event)
+            return StepResult.OK
+
+        # Table-driven loop.  Machine state is hoisted into locals for
+        # the duration of the call: ``regs`` and the cache line lists are
+        # mutated in place, so they need no write-back; scalars are
+        # synced at every exit below.  Nothing inside the loop can attach
+        # a recorder or trace hook, so the check above holds throughout.
+        regs = self.regs
+        pc = self.pc
+        psw = self.psw
+        ir = self.ir & _U32
+        mar = self.mar
+        mdr = self.mdr
+        last_sig = self.last_signature
         index = self.instruction_index
+        successors = self.signature_successors
+
+        memory = self.memory
+        cache = self.cache
+        layout = self.layout
+        cache_valid = cache.valid
+        cache_tags = cache.tags
+        cache_data = cache.data
+        cache_dirty = cache.dirty
+        miss_read = _miss_read
+        miss_write = _miss_write
+        read_word = memory.read_data_word
+        write_word = memory.write_data_word
+        fetch = memory.fetch_word_cached
+        fc_get = memory.fetch_cache.get
+        hits = 0
+
+        code_base = layout.code_base
+        code_end = code_base + layout.code_size
+        rodata_base = layout.rodata_base
+        rodata_end = rodata_base + layout.rodata_size
+        data_base = layout.data_base
+        data_end = data_base + layout.data_size
+        stack_base = layout.stack_base
+        stack_top = layout.stack_top
+
+        entries_get = _ENTRIES.get
+        build = _entry
+        unpack_f = _STRUCT_F.unpack
+        pack_i = _STRUCT_I.pack
+
         try:
             for _ in range(max_instructions):
-                word = self.ir & _U32
-                handler = predecode_get(word)
-                if handler is None:
-                    handler = build(word)
-                r = handler(self)
-                index += 1
-                if r is None:
-                    self.pc = (self.pc + WORD) & _U32
-                elif r.__class__ is int:
-                    self.pc = r
-                elif r is _HALT:
+                entry = entries_get(ir)
+                if entry is None:
+                    entry = build(ir)
+                op = entry[0]
+                if op == _OP_LD:
+                    address = (regs[entry[2]] + entry[3]) & _U32
+                    mar = address
+                    if (
+                        data_base <= address < data_end
+                        or stack_base <= address < stack_top
+                        or rodata_base <= address < rodata_end
+                    ):
+                        line = (address >> 2) & 31
+                        tag = (address >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            value = cache_data[line]
+                        else:
+                            value = miss_read(cache, memory, address, line, tag)
+                    else:
+                        value = read_word(address)
+                    mdr = value
+                    regs[entry[1]] = value
+                elif op == _OP_ST:
+                    address = (regs[entry[2]] + entry[3]) & _U32
+                    value = regs[entry[1]]
+                    mar = address
+                    mdr = value
+                    if (
+                        data_base <= address < data_end
+                        or stack_base <= address < stack_top
+                        or rodata_base <= address < rodata_end
+                    ):
+                        line = (address >> 2) & 31
+                        tag = (address >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            cache_data[line] = value
+                            cache_dirty[line] = 1
+                        else:
+                            miss_write(cache, memory, address, value, line, tag)
+                    else:
+                        write_word(address, value)
+                elif op == _OP_ADDI:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    result = a + entry[3]
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "integer add overflow"
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_CMP:
+                    au = regs[entry[1]]
+                    bu = regs[entry[2]]
+                    a = au - _TWO32 if au & _SIGN else au
+                    b = bu - _TWO32 if bu & _SIGN else bu
+                    psw &= ~_FLAG_WRITE_MASK
+                    if a == b:
+                        psw |= FLAG_Z
+                    if a < b:
+                        psw |= FLAG_N
+                    if au < bu:
+                        psw |= FLAG_C
+                elif op == _OP_BSET:
+                    if psw & entry[1]:
+                        target = (pc + entry[2]) & _U32
+                        if not code_base <= target < code_end:
+                            raise_detection(
+                                Mechanism.JUMP_ERROR,
+                                f"target {target:#x} outside code",
+                            )
+                        index += 1
+                        pc = target
+                        ir = fc_get(pc, -1)
+                        if ir < 0:
+                            ir = fetch(pc)
+                        continue
+                elif op == _OP_BCLR:
+                    if not psw & entry[1]:
+                        target = (pc + entry[2]) & _U32
+                        if not code_base <= target < code_end:
+                            raise_detection(
+                                Mechanism.JUMP_ERROR,
+                                f"target {target:#x} outside code",
+                            )
+                        index += 1
+                        pc = target
+                        ir = fc_get(pc, -1)
+                        if ir < 0:
+                            ir = fetch(pc)
+                        continue
+                elif op == _OP_FMUL or op == _OP_FADD or op == _OP_FSUB:
+                    a = unpack_f(pack_i(regs[entry[2]]))[0]
+                    if a != a:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    b = unpack_f(pack_i(regs[entry[3]]))[0]
+                    if b != b:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    if op == _OP_FMUL:
+                        value = a * b
+                    elif op == _OP_FADD:
+                        value = a + b
+                    else:
+                        value = a - b
+                    regs[entry[1]] = _float_result_bits(
+                        value, abs(a) != _INF and abs(b) != _INF
+                    )
+                elif op == _OP_MOV:
+                    regs[entry[1]] = regs[entry[2]]
+                elif op == _OP_BR:
+                    target = (pc + entry[1]) & _U32
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_SIG:
+                    sig = entry[1]
+                    if not successors:
+                        last_sig = sig
+                    else:
+                        if last_sig is not None:
+                            allowed = successors.get(last_sig)
+                            if allowed is None or sig not in allowed:
+                                raise_detection(
+                                    Mechanism.CONTROL_FLOW_ERROR,
+                                    f"signature {last_sig} -> {sig}",
+                                )
+                        last_sig = sig
+                elif op == _OP_ADD or op == _OP_SUB:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    b = regs[entry[3]]
+                    if b & _SIGN:
+                        b -= _TWO32
+                    result = a + b if op == _OP_ADD else a - b
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK,
+                            "integer add overflow"
+                            if op == _OP_ADD
+                            else "integer sub overflow",
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_FDIV:
+                    a = unpack_f(pack_i(regs[entry[2]]))[0]
+                    if a != a:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    b = unpack_f(pack_i(regs[entry[3]]))[0]
+                    if b != b:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    finite = abs(a) != _INF and abs(b) != _INF
+                    if b == 0.0:
+                        raise_detection(
+                            Mechanism.DIVISION_CHECK, "float divide by zero"
+                        )
+                    regs[entry[1]] = _float_result_bits(a / b, finite)
+                elif op == _OP_FCMP:
+                    a = unpack_f(pack_i(regs[entry[1]]))[0]
+                    b = unpack_f(pack_i(regs[entry[2]]))[0]
+                    psw &= ~_FLAG_WRITE_MASK
+                    if a != a or b != b:
+                        psw |= FLAG_V
+                    else:
+                        if a == b:
+                            psw |= FLAG_Z
+                        if a < b:
+                            psw |= FLAG_N
+                elif op == _OP_PUSH:
+                    sp = (regs[_SP] - WORD) & _U32
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    value = regs[entry[1]]
+                    mar = sp
+                    mdr = value
+                    if (
+                        data_base <= sp < data_end
+                        or stack_base <= sp < stack_top
+                        or rodata_base <= sp < rodata_end
+                    ):
+                        line = (sp >> 2) & 31
+                        tag = (sp >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            cache_data[line] = value
+                            cache_dirty[line] = 1
+                        else:
+                            miss_write(cache, memory, sp, value, line, tag)
+                    else:
+                        write_word(sp, value)
+                    regs[_SP] = sp
+                elif op == _OP_POP:
+                    sp = regs[_SP]
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    if sp >= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, "pop from empty stack"
+                        )
+                    mar = sp
+                    line = (sp >> 2) & 31
+                    tag = (sp >> 7) & 0x7FFFFF
+                    if cache_valid[line] and cache_tags[line] == tag:
+                        hits += 1
+                        value = cache_data[line]
+                    else:
+                        value = miss_read(cache, memory, sp, line, tag)
+                    mdr = value
+                    regs[entry[1]] = value
+                    regs[_SP] = (sp + WORD) & _U32
+                elif op == _OP_CALL:
+                    sp = (regs[_SP] - WORD) & _U32
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    value = (pc + WORD) & _U32
+                    mar = sp
+                    mdr = value
+                    if (
+                        data_base <= sp < data_end
+                        or stack_base <= sp < stack_top
+                        or rodata_base <= sp < rodata_end
+                    ):
+                        line = (sp >> 2) & 31
+                        tag = (sp >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            cache_data[line] = value
+                            cache_dirty[line] = 1
+                        else:
+                            miss_write(cache, memory, sp, value, line, tag)
+                    else:
+                        write_word(sp, value)
+                    regs[_SP] = sp
+                    target = (pc + entry[1]) & _U32
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_RET:
+                    sp = regs[_SP]
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    if sp >= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, "return with empty stack"
+                        )
+                    mar = sp
+                    line = (sp >> 2) & 31
+                    tag = (sp >> 7) & 0x7FFFFF
+                    if cache_valid[line] and cache_tags[line] == tag:
+                        hits += 1
+                        target = cache_data[line]
+                    else:
+                        target = miss_read(cache, memory, sp, line, tag)
+                    mdr = target
+                    regs[_SP] = (sp + WORD) & _U32
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_LDI or op == _OP_LUI:
+                    regs[entry[1]] = entry[2]
+                elif op == _OP_ORI:
+                    regs[entry[1]] |= entry[2]
+                elif op == _OP_MUL:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    b = regs[entry[3]]
+                    if b & _SIGN:
+                        b -= _TWO32
+                    result = a * b
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "integer mul overflow"
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_DIV:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    b = regs[entry[3]]
+                    if b & _SIGN:
+                        b -= _TWO32
+                    if b == 0:
+                        raise_detection(
+                            Mechanism.DIVISION_CHECK, "integer divide by zero"
+                        )
+                    result = int(a / b)  # truncating division
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "integer div overflow"
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_AND:
+                    regs[entry[1]] = regs[entry[2]] & regs[entry[3]]
+                elif op == _OP_OR:
+                    regs[entry[1]] = regs[entry[2]] | regs[entry[3]]
+                elif op == _OP_XOR:
+                    regs[entry[1]] = regs[entry[2]] ^ regs[entry[3]]
+                elif op == _OP_SHL:
+                    regs[entry[1]] = (
+                        regs[entry[2]] << (regs[entry[3]] & 31)
+                    ) & _U32
+                elif op == _OP_SHR:
+                    regs[entry[1]] = regs[entry[2]] >> (regs[entry[3]] & 31)
+                elif op == _OP_ITOF:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    regs[entry[1]] = _float_result_bits(float(a), True)
+                elif op == _OP_FTOI:
+                    value = unpack_f(pack_i(regs[entry[2]]))[0]
+                    if value != value:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    if not _INT_MIN <= value <= _INT_MAX:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "float to int overflow"
+                        )
+                    regs[entry[1]] = int(value) & _U32
+                elif op == _OP_FNEG:
+                    regs[entry[1]] = regs[entry[2]] ^ 0x80000000
+                elif op == _OP_CHK:
+                    low = unpack_f(pack_i(regs[entry[1]]))[0]
+                    value = unpack_f(pack_i(regs[entry[2]]))[0]
+                    high = unpack_f(pack_i(regs[entry[3]]))[0]
+                    if not low <= value <= high:
+                        raise_detection(
+                            Mechanism.CONSTRAINT_ERROR,
+                            f"{value!r} outside [{low!r}, {high!r}]",
+                        )
+                elif op == _OP_JR:
+                    target = regs[entry[1]]
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_SVC:
+                    self.last_svc = entry[1]
+                    index += 1
+                    pc = (pc + WORD) & _U32
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    self.pc = pc
+                    self.psw = psw
+                    self.ir = ir
+                    self.mar = mar
+                    self.mdr = mdr
+                    self.last_signature = last_sig
                     self.instruction_index = index
-                    return StepResult.HALTED
-                else:  # _YIELD
-                    self.instruction_index = index
-                    self.pc = (self.pc + WORD) & _U32
-                    self.ir = fetch(self.pc)
+                    cache.hits += hits
                     return StepResult.YIELD
-                self.ir = fetch(self.pc)
+                elif op == _OP_NOP:
+                    pass
+                else:  # _OP_GENERIC: one step of the reference chain.
+                    self.pc = pc
+                    self.psw = psw
+                    self.ir = ir
+                    self.mar = mar
+                    self.mdr = mdr
+                    self.last_signature = last_sig
+                    self.instruction_index = index
+                    try:
+                        result = execute()
+                    finally:
+                        pc = self.pc
+                        psw = self.psw
+                        ir = self.ir
+                        mar = self.mar
+                        mdr = self.mdr
+                        last_sig = self.last_signature
+                        index = self.instruction_index
+                    if result is not StepResult.OK:
+                        cache.hits += hits
+                        return result
+                    continue
+                index += 1
+                pc = (pc + WORD) & _U32
+                ir = fc_get(pc, -1)
+                if ir < 0:
+                    ir = fetch(pc)
         except HardwareDetection as event:
+            self.pc = pc
+            self.psw = psw
+            self.ir = ir
+            self.mar = mar
+            self.mdr = mdr
+            self.last_signature = last_sig
             self.instruction_index = index
-            self.detection = DetectionEvent(
-                mechanism=event.mechanism,
-                pc=self.pc,
-                instruction_index=index,
-                detail=event.detail,
-            )
-            notify_detection(self.detection)
-            return StepResult.DETECTED
+            cache.hits += hits
+            return self._freeze(event)
+        self.pc = pc
+        self.psw = psw
+        self.ir = ir
+        self.mar = mar
+        self.mdr = mdr
+        self.last_signature = last_sig
         self.instruction_index = index
+        cache.hits += hits
         return StepResult.OK
 
     # -- state access -------------------------------------------------------------
@@ -768,712 +1195,155 @@ _BRANCHES = frozenset(
     }
 )
 
-
 # ---------------------------------------------------------------------------
-# Predecoded dispatch.
+# The dispatch table.
 #
-# Handlers take the CPU and return:
-#   None      -> fall through to pc + 4
-#   int       -> control transfer to that pc
-#   _YIELD    -> SVC executed (pc + 4, then yield to the environment)
-#   _HALT     -> CPU halted (no prefetch)
-# Detections propagate as HardwareDetection exceptions, exactly as in the
-# traced chain.  Handlers are built per *word*, so every operand field is
-# a closure constant; they never touch the recorder/trace hooks (the fast
-# path is only taken when neither is attached).
+# :meth:`CPU.run` predecodes instruction words into flat ``(op, a, b, c)``
+# tuples in a table shared by every CPU in the process (the code image
+# and decode results are immutable; only machine state differs between
+# CPUs, e.g. the lanes of a fault-injection batch).  The loop executes
+# the hot opcodes inline with the CPU's state hoisted into locals: an LD
+# hit is three range compares and two list reads.  Cold words (HALT /
+# WFI / SETMODE, illegal opcodes, register fields outside the register
+# file) get a generic entry that runs one step of the reference chain,
+# and cache misses go through the flattened miss paths below, so
+# observable behaviour — results, flags, detection mechanisms, messages,
+# ordering, counters — is identical to the reference chain instruction
+# for instruction.
 # ---------------------------------------------------------------------------
-
-_YIELD = object()
-_HALT = object()
-
-_Handler = Callable[[CPU], object]
-
-_PREDECODE: Dict[int, _Handler] = {}
-_PREDECODE_CAP = 65536
 
 _SP = SP_INDEX
 
-
-def _fop_operands(cpu: CPU, rs1: int, rs2: int) -> Tuple[float, float]:
-    regs = cpu.regs
-    a = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rs1]))[0]
-    if a != a:
-        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-    b = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rs2]))[0]
-    if b != b:
-        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-    return a, b
-
-
-def _float_result_bits(value: float, operands_finite: bool) -> int:
-    try:
-        packed = _STRUCT_F.pack(value)
-    except OverflowError:
-        packed = _STRUCT_F.pack(_INF if value > 0 else -_INF)
-    rounded = _STRUCT_F.unpack(packed)[0]
-    if rounded != rounded:
-        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN result")
-    if rounded == _INF or rounded == -_INF:
-        if operands_finite:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "float overflow")
-    elif value != 0.0 and abs(rounded) < _MIN_NORMAL:
-        raise_detection(Mechanism.UNDERFLOW_CHECK, "underflow/denormal result")
-    return _STRUCT_I.unpack(packed)[0]
-
-
-def _branch_resolve(cpu: CPU, offset: int) -> int:
-    target = (cpu.pc + offset) & _U32
-    layout = cpu.layout
-    if not layout.code_base <= target < layout.code_base + layout.code_size:
-        raise_detection(Mechanism.JUMP_ERROR, f"target {target:#x} outside code")
-    return target
-
-
-def _f_nop(instruction: Instruction) -> _Handler:
-    def nop(cpu: CPU):
-        return None
-
-    return nop
-
-
-def _f_halt(instruction: Instruction) -> _Handler:
-    name = instruction.opcode.name
-
-    def halt(cpu: CPU):
-        if not cpu.psw & FLAG_M:
-            raise_detection(
-                Mechanism.INSTRUCTION_ERROR, f"privileged {name} in user mode"
-            )
-        cpu.halted = True
-        return _HALT
-
-    return halt
-
-
-def _f_svc(instruction: Instruction) -> _Handler:
-    imm = instruction.imm
-
-    def svc(cpu: CPU):
-        cpu.last_svc = imm
-        return _YIELD
-
-    return svc
-
-
-def _f_sig(instruction: Instruction) -> _Handler:
-    imm = instruction.imm
-
-    def sig(cpu: CPU):
-        cpu._check_signature(imm)
-        return None
-
-    return sig
-
-
-def _f_setmode(instruction: Instruction) -> _Handler:
-    rs1 = instruction.rs1
-
-    def setmode(cpu: CPU):
-        if not cpu.psw & FLAG_M:
-            raise_detection(
-                Mechanism.INSTRUCTION_ERROR, "privileged SETMODE in user mode"
-            )
-        if cpu.regs[rs1] & 1:
-            cpu.psw |= FLAG_M
-        else:
-            cpu.psw &= ~FLAG_M
-        return None
-
-    return setmode
-
-
-def _f_ldi(instruction: Instruction) -> _Handler:
-    rd = instruction.rd
-    value = instruction.simm() & _U32
-
-    def ldi(cpu: CPU):
-        cpu.regs[rd] = value
-        return None
-
-    return ldi
-
-
-def _f_lui(instruction: Instruction) -> _Handler:
-    rd = instruction.rd
-    value = (instruction.imm << 16) & _U32
-
-    def lui(cpu: CPU):
-        cpu.regs[rd] = value
-        return None
-
-    return lui
-
-
-def _f_ori(instruction: Instruction) -> _Handler:
-    rd = instruction.rd
-    imm = instruction.imm
-
-    def ori(cpu: CPU):
-        cpu.regs[rd] |= imm
-        return None
-
-    return ori
-
-
-def _f_mov(instruction: Instruction) -> _Handler:
-    rd, rs1 = instruction.rd, instruction.rs1
-
-    def mov(cpu: CPU):
-        cpu.regs[rd] = cpu.regs[rs1]
-        return None
-
-    return mov
-
-
-def _f_ld(instruction: Instruction) -> _Handler:
-    rd, rs1, simm = instruction.rd, instruction.rs1, instruction.simm()
-
-    def ld(cpu: CPU):
-        address = (cpu.regs[rs1] + simm) & _U32
-        cpu.mar = address
-        memory = cpu.memory
-        if memory.is_cacheable(address):
-            value = cpu.cache.read(address, memory)
-        else:
-            value = memory.read_data_word(address)
-        cpu.mdr = value
-        cpu.regs[rd] = value
-        return None
-
-    return ld
-
-
-def _f_st(instruction: Instruction) -> _Handler:
-    rd, rs1, simm = instruction.rd, instruction.rs1, instruction.simm()
-
-    def st(cpu: CPU):
-        regs = cpu.regs
-        address = (regs[rs1] + simm) & _U32
-        value = regs[rd]
-        cpu.mar = address
-        cpu.mdr = value
-        memory = cpu.memory
-        if memory.is_cacheable(address):
-            cpu.cache.write(address, value, memory)
-        else:
-            memory.write_data_word(address, value)
-        return None
-
-    return st
-
-
-def _f_push(instruction: Instruction) -> _Handler:
-    rd = instruction.rd
-
-    def push(cpu: CPU):
-        regs = cpu.regs
-        sp = (regs[_SP] - WORD) & _U32
-        cpu._check_stack_pointer(sp)
-        value = regs[rd]
-        cpu.mar = sp
-        cpu.mdr = value
-        memory = cpu.memory
-        if memory.is_cacheable(sp):
-            cpu.cache.write(sp, value, memory)
-        else:
-            memory.write_data_word(sp, value)
-        regs[_SP] = sp
-        return None
-
-    return push
-
-
-def _f_pop(instruction: Instruction) -> _Handler:
-    rd = instruction.rd
-
-    def pop(cpu: CPU):
-        regs = cpu.regs
-        sp = regs[_SP]
-        cpu._check_stack_pointer(sp)
-        if sp >= cpu.layout.stack_top:
-            raise_detection(Mechanism.STORAGE_ERROR, "pop from empty stack")
-        cpu.mar = sp
-        memory = cpu.memory
-        if memory.is_cacheable(sp):
-            value = cpu.cache.read(sp, memory)
-        else:
-            value = memory.read_data_word(sp)
-        cpu.mdr = value
-        regs[rd] = value
-        regs[_SP] = (sp + WORD) & _U32
-        return None
-
-    return pop
-
-
-def _f_add(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def add(cpu: CPU):
-        regs = cpu.regs
-        a = regs[rs1]
-        if a & _SIGN:
-            a -= _TWO32
-        b = regs[rs2]
-        if b & _SIGN:
-            b -= _TWO32
-        result = a + b
-        if result > _INT_MAX or result < _INT_MIN:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "integer add overflow")
-        regs[rd] = result & _U32
-        return None
-
-    return add
-
-
-def _f_sub(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def sub(cpu: CPU):
-        regs = cpu.regs
-        a = regs[rs1]
-        if a & _SIGN:
-            a -= _TWO32
-        b = regs[rs2]
-        if b & _SIGN:
-            b -= _TWO32
-        result = a - b
-        if result > _INT_MAX or result < _INT_MIN:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "integer sub overflow")
-        regs[rd] = result & _U32
-        return None
-
-    return sub
-
-
-def _f_mul(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def mul(cpu: CPU):
-        regs = cpu.regs
-        a = regs[rs1]
-        if a & _SIGN:
-            a -= _TWO32
-        b = regs[rs2]
-        if b & _SIGN:
-            b -= _TWO32
-        result = a * b
-        if result > _INT_MAX or result < _INT_MIN:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "integer mul overflow")
-        regs[rd] = result & _U32
-        return None
-
-    return mul
-
-
-def _f_div(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def div(cpu: CPU):
-        regs = cpu.regs
-        a = regs[rs1]
-        if a & _SIGN:
-            a -= _TWO32
-        b = regs[rs2]
-        if b & _SIGN:
-            b -= _TWO32
-        if b == 0:
-            raise_detection(Mechanism.DIVISION_CHECK, "integer divide by zero")
-        result = int(a / b)  # truncating division
-        if result > _INT_MAX or result < _INT_MIN:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "integer div overflow")
-        regs[rd] = result & _U32
-        return None
-
-    return div
-
-
-def _f_and(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def and_(cpu: CPU):
-        regs = cpu.regs
-        regs[rd] = regs[rs1] & regs[rs2]
-        return None
-
-    return and_
-
-
-def _f_or(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def or_(cpu: CPU):
-        regs = cpu.regs
-        regs[rd] = regs[rs1] | regs[rs2]
-        return None
-
-    return or_
-
-
-def _f_xor(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def xor(cpu: CPU):
-        regs = cpu.regs
-        regs[rd] = regs[rs1] ^ regs[rs2]
-        return None
-
-    return xor
-
-
-def _f_shl(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def shl(cpu: CPU):
-        regs = cpu.regs
-        regs[rd] = (regs[rs1] << (regs[rs2] & 31)) & _U32
-        return None
-
-    return shl
-
-
-def _f_shr(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def shr(cpu: CPU):
-        regs = cpu.regs
-        regs[rd] = regs[rs1] >> (regs[rs2] & 31)
-        return None
-
-    return shr
-
-
-def _f_addi(instruction: Instruction) -> _Handler:
-    rd, rs1, simm = instruction.rd, instruction.rs1, instruction.simm()
-
-    def addi(cpu: CPU):
-        regs = cpu.regs
-        a = regs[rs1]
-        if a & _SIGN:
-            a -= _TWO32
-        result = a + simm
-        if result > _INT_MAX or result < _INT_MIN:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "integer add overflow")
-        regs[rd] = result & _U32
-        return None
-
-    return addi
-
-
-def _f_cmp(instruction: Instruction) -> _Handler:
-    rs1, rs2 = instruction.rs1, instruction.rs2
-
-    def cmp_(cpu: CPU):
-        regs = cpu.regs
-        au = regs[rs1]
-        bu = regs[rs2]
-        a = au - _TWO32 if au & _SIGN else au
-        b = bu - _TWO32 if bu & _SIGN else bu
-        psw = cpu.psw & ~_FLAG_WRITE_MASK
-        if a == b:
-            psw |= FLAG_Z
-        if a < b:
-            psw |= FLAG_N
-        if au < bu:
-            psw |= FLAG_C
-        cpu.psw = psw
-        return None
-
-    return cmp_
-
-
-def _f_fadd(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def fadd(cpu: CPU):
-        a, b = _fop_operands(cpu, rs1, rs2)
-        cpu.regs[rd] = _float_result_bits(
-            a + b, abs(a) != _INF and abs(b) != _INF
-        )
-        return None
-
-    return fadd
-
-
-def _f_fsub(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def fsub(cpu: CPU):
-        a, b = _fop_operands(cpu, rs1, rs2)
-        cpu.regs[rd] = _float_result_bits(
-            a - b, abs(a) != _INF and abs(b) != _INF
-        )
-        return None
-
-    return fsub
-
-
-def _f_fmul(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def fmul(cpu: CPU):
-        a, b = _fop_operands(cpu, rs1, rs2)
-        cpu.regs[rd] = _float_result_bits(
-            a * b, abs(a) != _INF and abs(b) != _INF
-        )
-        return None
-
-    return fmul
-
-
-def _f_fdiv(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def fdiv(cpu: CPU):
-        a, b = _fop_operands(cpu, rs1, rs2)
-        finite = abs(a) != _INF and abs(b) != _INF
-        if b == 0.0:
-            raise_detection(Mechanism.DIVISION_CHECK, "float divide by zero")
-        cpu.regs[rd] = _float_result_bits(a / b, finite)
-        return None
-
-    return fdiv
-
-
-def _f_fcmp(instruction: Instruction) -> _Handler:
-    rs1, rs2 = instruction.rs1, instruction.rs2
-
-    def fcmp(cpu: CPU):
-        regs = cpu.regs
-        a = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rs1]))[0]
-        b = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rs2]))[0]
-        psw = cpu.psw & ~_FLAG_WRITE_MASK
-        if a != a or b != b:
-            psw |= FLAG_V
-        else:
-            if a == b:
-                psw |= FLAG_Z
-            if a < b:
-                psw |= FLAG_N
-        cpu.psw = psw
-        return None
-
-    return fcmp
-
-
-def _f_itof(instruction: Instruction) -> _Handler:
-    rd, rs1 = instruction.rd, instruction.rs1
-
-    def itof(cpu: CPU):
-        a = cpu.regs[rs1]
-        if a & _SIGN:
-            a -= _TWO32
-        cpu.regs[rd] = _float_result_bits(float(a), True)
-        return None
-
-    return itof
-
-
-def _f_ftoi(instruction: Instruction) -> _Handler:
-    rd, rs1 = instruction.rd, instruction.rs1
-
-    def ftoi(cpu: CPU):
-        value = _STRUCT_F.unpack(_STRUCT_I.pack(cpu.regs[rs1]))[0]
-        if value != value:
-            raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-        if not _INT_MIN <= value <= _INT_MAX:
-            raise_detection(Mechanism.OVERFLOW_CHECK, "float to int overflow")
-        cpu.regs[rd] = int(value) & _U32
-        return None
-
-    return ftoi
-
-
-def _f_fneg(instruction: Instruction) -> _Handler:
-    rd, rs1 = instruction.rd, instruction.rs1
-
-    def fneg(cpu: CPU):
-        cpu.regs[rd] = cpu.regs[rs1] ^ 0x80000000
-        return None
-
-    return fneg
-
-
-def _f_br(instruction: Instruction) -> _Handler:
-    offset = WORD * instruction.simm()
-
-    def br(cpu: CPU):
-        return _branch_resolve(cpu, offset)
-
-    return br
-
-
-def _branch_factory_set(mask: int):
+#: Entry op ids, ordered by expected dynamic frequency (the dispatch
+#: chain in :meth:`CPU.run` tests them in this order).
+_OP_GENERIC = 0
+_OP_LD = 1
+_OP_ST = 2
+_OP_ADDI = 3
+_OP_CMP = 4
+_OP_BSET = 5
+_OP_BCLR = 6
+_OP_FMUL = 7
+_OP_FADD = 8
+_OP_MOV = 9
+_OP_BR = 10
+_OP_SIG = 11
+_OP_ADD = 12
+_OP_SUB = 13
+_OP_FSUB = 14
+_OP_FDIV = 15
+_OP_FCMP = 16
+_OP_PUSH = 17
+_OP_POP = 18
+_OP_CALL = 19
+_OP_RET = 20
+_OP_LDI = 21
+_OP_LUI = 22
+_OP_ORI = 23
+_OP_MUL = 24
+_OP_DIV = 25
+_OP_AND = 26
+_OP_OR = 27
+_OP_XOR = 28
+_OP_SHL = 29
+_OP_SHR = 30
+_OP_ITOF = 31
+_OP_FTOI = 32
+_OP_FNEG = 33
+_OP_CHK = 34
+_OP_JR = 35
+_OP_SVC = 36
+_OP_NOP = 37
+
+#: One predecoded entry: ``(op, a, b, c)`` with op-specific operand
+#: meaning.
+_Entry = Tuple[int, int, int, int]
+
+_ENTRIES: Dict[int, _Entry] = {}
+_ENTRIES_CAP = 65536
+
+_GENERIC_ENTRY: _Entry = (_OP_GENERIC, 0, 0, 0)
+
+
+def _e3(op: int):
+    """Entry factory for three-register-field opcodes."""
+
+    def build(i: Instruction) -> _Entry:
+        return (op, i.rd, i.rs1, i.rs2)
+
+    return build
+
+
+def _e_bset(mask: int):
     """Branch taken when ``psw & mask`` is non-zero."""
 
-    def factory(instruction: Instruction) -> _Handler:
-        offset = WORD * instruction.simm()
+    def build(i: Instruction) -> _Entry:
+        return (_OP_BSET, mask, WORD * i.simm(), 0)
 
-        def branch(cpu: CPU):
-            if cpu.psw & mask:
-                return _branch_resolve(cpu, offset)
-            return None
-
-        return branch
-
-    return factory
+    return build
 
 
-def _branch_factory_clear(mask: int):
+def _e_bclr(mask: int):
     """Branch taken when every bit of ``mask`` is clear in the PSW."""
 
-    def factory(instruction: Instruction) -> _Handler:
-        offset = WORD * instruction.simm()
+    def build(i: Instruction) -> _Entry:
+        return (_OP_BCLR, mask, WORD * i.simm(), 0)
 
-        def branch(cpu: CPU):
-            if not cpu.psw & mask:
-                return _branch_resolve(cpu, offset)
-            return None
-
-        return branch
-
-    return factory
+    return build
 
 
-def _f_call(instruction: Instruction) -> _Handler:
-    offset = WORD * instruction.simm()
-
-    def call(cpu: CPU):
-        regs = cpu.regs
-        sp = (regs[_SP] - WORD) & _U32
-        cpu._check_stack_pointer(sp)
-        value = (cpu.pc + WORD) & _U32
-        cpu.mar = sp
-        cpu.mdr = value
-        memory = cpu.memory
-        if memory.is_cacheable(sp):
-            cpu.cache.write(sp, value, memory)
-        else:
-            memory.write_data_word(sp, value)
-        regs[_SP] = sp
-        return _branch_resolve(cpu, offset)
-
-    return call
-
-
-def _f_ret(instruction: Instruction) -> _Handler:
-    def ret(cpu: CPU):
-        regs = cpu.regs
-        sp = regs[_SP]
-        cpu._check_stack_pointer(sp)
-        layout = cpu.layout
-        if sp >= layout.stack_top:
-            raise_detection(Mechanism.STORAGE_ERROR, "return with empty stack")
-        cpu.mar = sp
-        memory = cpu.memory
-        if memory.is_cacheable(sp):
-            target = cpu.cache.read(sp, memory)
-        else:
-            target = memory.read_data_word(sp)
-        cpu.mdr = target
-        regs[_SP] = (sp + WORD) & _U32
-        if not layout.code_base <= target < layout.code_base + layout.code_size:
-            raise_detection(Mechanism.JUMP_ERROR, f"target {target:#x} outside code")
-        return target
-
-    return ret
-
-
-def _f_jr(instruction: Instruction) -> _Handler:
-    rs1 = instruction.rs1
-
-    def jr(cpu: CPU):
-        target = cpu.regs[rs1]
-        layout = cpu.layout
-        if not layout.code_base <= target < layout.code_base + layout.code_size:
-            raise_detection(Mechanism.JUMP_ERROR, f"target {target:#x} outside code")
-        return target
-
-    return jr
-
-
-def _f_chk(instruction: Instruction) -> _Handler:
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-
-    def chk(cpu: CPU):
-        regs = cpu.regs
-        low = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rd]))[0]
-        value = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rs1]))[0]
-        high = _STRUCT_F.unpack(_STRUCT_I.pack(regs[rs2]))[0]
-        if not low <= value <= high:
-            raise_detection(
-                Mechanism.CONSTRAINT_ERROR,
-                f"{value!r} outside [{low!r}, {high!r}]",
-            )
-        return None
-
-    return chk
-
-
-_HANDLER_FACTORIES: Dict[Opcode, Callable[[Instruction], _Handler]] = {
-    Opcode.NOP: _f_nop,
-    Opcode.HALT: _f_halt,
-    Opcode.WFI: _f_halt,
-    Opcode.SVC: _f_svc,
-    Opcode.SIG: _f_sig,
-    Opcode.SETMODE: _f_setmode,
-    Opcode.LDI: _f_ldi,
-    Opcode.LUI: _f_lui,
-    Opcode.ORI: _f_ori,
-    Opcode.MOV: _f_mov,
-    Opcode.LD: _f_ld,
-    Opcode.ST: _f_st,
-    Opcode.PUSH: _f_push,
-    Opcode.POP: _f_pop,
-    Opcode.ADD: _f_add,
-    Opcode.SUB: _f_sub,
-    Opcode.MUL: _f_mul,
-    Opcode.DIV: _f_div,
-    Opcode.AND: _f_and,
-    Opcode.OR: _f_or,
-    Opcode.XOR: _f_xor,
-    Opcode.SHL: _f_shl,
-    Opcode.SHR: _f_shr,
-    Opcode.ADDI: _f_addi,
-    Opcode.CMP: _f_cmp,
-    Opcode.FADD: _f_fadd,
-    Opcode.FSUB: _f_fsub,
-    Opcode.FMUL: _f_fmul,
-    Opcode.FDIV: _f_fdiv,
-    Opcode.FCMP: _f_fcmp,
-    Opcode.ITOF: _f_itof,
-    Opcode.FTOI: _f_ftoi,
-    Opcode.FNEG: _f_fneg,
-    Opcode.BR: _f_br,
-    Opcode.BEQ: _branch_factory_set(FLAG_Z),
-    Opcode.BNE: _branch_factory_clear(FLAG_Z),
-    Opcode.BLT: _branch_factory_set(FLAG_N),
-    Opcode.BGE: _branch_factory_clear(FLAG_N | FLAG_V),
-    Opcode.BGT: _branch_factory_clear(FLAG_Z | FLAG_N | FLAG_V),
-    Opcode.BLE: _branch_factory_set(FLAG_Z | FLAG_N),
-    Opcode.BVS: _branch_factory_set(FLAG_V),
-    Opcode.CALL: _f_call,
-    Opcode.RET: _f_ret,
-    Opcode.JR: _f_jr,
-    Opcode.CHK: _f_chk,
+_ENTRY_FACTORIES: Dict[Opcode, Callable[[Instruction], _Entry]] = {
+    Opcode.NOP: lambda i: (_OP_NOP, 0, 0, 0),
+    Opcode.SVC: lambda i: (_OP_SVC, i.imm, 0, 0),
+    Opcode.SIG: lambda i: (_OP_SIG, i.imm, 0, 0),
+    Opcode.LDI: lambda i: (_OP_LDI, i.rd, i.simm() & _U32, 0),
+    Opcode.LUI: lambda i: (_OP_LUI, i.rd, (i.imm << 16) & _U32, 0),
+    Opcode.ORI: lambda i: (_OP_ORI, i.rd, i.imm, 0),
+    Opcode.MOV: lambda i: (_OP_MOV, i.rd, i.rs1, 0),
+    Opcode.LD: lambda i: (_OP_LD, i.rd, i.rs1, i.simm()),
+    Opcode.ST: lambda i: (_OP_ST, i.rd, i.rs1, i.simm()),
+    Opcode.PUSH: lambda i: (_OP_PUSH, i.rd, 0, 0),
+    Opcode.POP: lambda i: (_OP_POP, i.rd, 0, 0),
+    Opcode.ADD: _e3(_OP_ADD),
+    Opcode.SUB: _e3(_OP_SUB),
+    Opcode.MUL: _e3(_OP_MUL),
+    Opcode.DIV: _e3(_OP_DIV),
+    Opcode.AND: _e3(_OP_AND),
+    Opcode.OR: _e3(_OP_OR),
+    Opcode.XOR: _e3(_OP_XOR),
+    Opcode.SHL: _e3(_OP_SHL),
+    Opcode.SHR: _e3(_OP_SHR),
+    Opcode.ADDI: lambda i: (_OP_ADDI, i.rd, i.rs1, i.simm()),
+    Opcode.CMP: lambda i: (_OP_CMP, i.rs1, i.rs2, 0),
+    Opcode.FADD: _e3(_OP_FADD),
+    Opcode.FSUB: _e3(_OP_FSUB),
+    Opcode.FMUL: _e3(_OP_FMUL),
+    Opcode.FDIV: _e3(_OP_FDIV),
+    Opcode.FCMP: lambda i: (_OP_FCMP, i.rs1, i.rs2, 0),
+    Opcode.ITOF: lambda i: (_OP_ITOF, i.rd, i.rs1, 0),
+    Opcode.FTOI: lambda i: (_OP_FTOI, i.rd, i.rs1, 0),
+    Opcode.FNEG: lambda i: (_OP_FNEG, i.rd, i.rs1, 0),
+    Opcode.BR: lambda i: (_OP_BR, WORD * i.simm(), 0, 0),
+    Opcode.BEQ: _e_bset(FLAG_Z),
+    Opcode.BNE: _e_bclr(FLAG_Z),
+    Opcode.BLT: _e_bset(FLAG_N),
+    Opcode.BGE: _e_bclr(FLAG_N | FLAG_V),
+    Opcode.BGT: _e_bclr(FLAG_Z | FLAG_N | FLAG_V),
+    Opcode.BLE: _e_bset(FLAG_Z | FLAG_N),
+    Opcode.BVS: _e_bset(FLAG_V),
+    Opcode.CALL: lambda i: (_OP_CALL, WORD * i.simm(), 0, 0),
+    Opcode.RET: lambda i: (_OP_RET, 0, 0, 0),
+    Opcode.JR: lambda i: (_OP_JR, i.rs1, 0, 0),
+    Opcode.CHK: _e3(_OP_CHK),
+    # HALT / WFI / SETMODE run once per experiment at most; they take
+    # the generic entry.
 }
 
 #: Register fields each opcode actually consumes.  A word whose used
 #: fields fall outside the register file (only reachable through faults)
-#: keeps the traced chain's exact detection ordering via the generic
-#: fallback handler.
+#: takes the generic entry, keeping the reference chain's exact
+#: detection ordering.
 _FIELDS_USED: Dict[Opcode, Tuple[str, ...]] = {
-    Opcode.NOP: (),
-    Opcode.HALT: (),
-    Opcode.WFI: (),
-    Opcode.SVC: (),
-    Opcode.SIG: (),
-    Opcode.SETMODE: ("rs1",),
     Opcode.LDI: ("rd",),
     Opcode.LUI: ("rd",),
     Opcode.ORI: ("rd",),
@@ -1501,240 +1371,46 @@ _FIELDS_USED: Dict[Opcode, Tuple[str, ...]] = {
     Opcode.ITOF: ("rd", "rs1"),
     Opcode.FTOI: ("rd", "rs1"),
     Opcode.FNEG: ("rd", "rs1"),
-    Opcode.BR: (),
-    Opcode.BEQ: (),
-    Opcode.BNE: (),
-    Opcode.BLT: (),
-    Opcode.BGE: (),
-    Opcode.BGT: (),
-    Opcode.BLE: (),
-    Opcode.BVS: (),
-    Opcode.CALL: (),
-    Opcode.RET: (),
     Opcode.JR: ("rs1",),
     Opcode.CHK: ("rd", "rs1", "rs2"),
 }
 
 
-def _general_handler(word: int, instruction: Instruction) -> _Handler:
-    """Fallback for words the specialised handlers cannot express.
-
-    Runs the traced chain body (without recorder/trace overhead — both
-    are known to be detached on the fast path) so out-of-range register
-    fields raise in exactly the order the original interpreter did,
-    e.g. PUSH with a bad ``rd`` still checks the stack pointer first.
-    """
-    privileged = instruction.opcode in PRIVILEGED_OPCODES
-
-    def general(cpu: CPU):
-        if privileged and not cpu.psw & FLAG_M:
-            raise_detection(
-                Mechanism.INSTRUCTION_ERROR,
-                f"privileged {instruction.opcode.name} in user mode",
-            )
-        result, next_pc = cpu._execute_chain(word, instruction)
-        if result is StepResult.OK:
-            return next_pc
-        if result is StepResult.YIELD:
-            return _YIELD
-        return _HALT
-
-    return general
-
-
-def _build_handler(word: int) -> _Handler:
+def _entry(word: int) -> _Entry:
+    """Predecode ``word`` into the process-wide table: an inline entry,
+    or the generic entry for words the inline arms cannot express
+    exactly."""
     instruction = _decode_cached(word)
-    if instruction is None:
-        detail = f"illegal opcode {word >> 24:#x}"
-
-        def illegal(cpu: CPU):
-            raise_detection(Mechanism.INSTRUCTION_ERROR, detail)
-
-        return illegal
-    for name in _FIELDS_USED[instruction.opcode]:
-        if getattr(instruction, name) > SP_INDEX:
-            return _general_handler(word, instruction)
-    return _HANDLER_FACTORIES[instruction.opcode](instruction)
-
-
-def _predecode(word: int) -> _Handler:
-    handler = _build_handler(word)
-    if len(_PREDECODE) < _PREDECODE_CAP:
-        _PREDECODE[word] = handler
-    return handler
-
-
-# ---------------------------------------------------------------------------
-# Batched multi-fault execution.
-#
-# A fault-injection campaign replays the same program under K different
-# corruptions.  The lanes share every immutable artefact — the code
-# image, the decode results, the predecoded dispatch table — and differ
-# only in mutable machine state, so the campaign driver keeps the lanes'
-# register files, PSWs, cache line arrays and RAM images side by side
-# (a structure of arrays: ``regs``/``psw``/``cache.data``/... per lane)
-# and runs each lane's next slice through *one* shared dispatch loop.
-#
-# :class:`BatchEngine` is that loop.  Instead of per-word handler
-# closures it predecodes words into flat ``(op, a, b, c)`` tuples in a
-# table shared by every lane of every engine in the process, and
-# executes the hot opcodes inline with the lane's state hoisted into
-# loop locals: an LD hit is three range compares and two list reads,
-# with none of the closure-call and attribute-lookup overhead of the
-# handler path.  Cold operations (cache misses, un-cached accesses,
-# HALT/SETMODE, words with out-of-range register fields) delegate to
-# the exact code the handler path runs, so observable behaviour —
-# results, flags, detection mechanisms, messages, ordering, counters —
-# is identical to :meth:`CPU.run` instruction for instruction.
-# ---------------------------------------------------------------------------
-
-#: Batch entry op ids, ordered by expected dynamic frequency (the
-#: dispatch chain below tests them in this order).
-_B_GENERIC = 0
-_B_LD = 1
-_B_ST = 2
-_B_ADDI = 3
-_B_CMP = 4
-_B_BSET = 5
-_B_BCLR = 6
-_B_FMUL = 7
-_B_FADD = 8
-_B_MOV = 9
-_B_BR = 10
-_B_SIG = 11
-_B_ADD = 12
-_B_SUB = 13
-_B_FSUB = 14
-_B_FDIV = 15
-_B_FCMP = 16
-_B_PUSH = 17
-_B_POP = 18
-_B_CALL = 19
-_B_RET = 20
-_B_LDI = 21
-_B_LUI = 22
-_B_ORI = 23
-_B_MUL = 24
-_B_DIV = 25
-_B_AND = 26
-_B_OR = 27
-_B_XOR = 28
-_B_SHL = 29
-_B_SHR = 30
-_B_ITOF = 31
-_B_FTOI = 32
-_B_FNEG = 33
-_B_CHK = 34
-_B_JR = 35
-_B_SVC = 36
-_B_NOP = 37
-
-#: One predecoded batch entry: ``(op, a, b, c)`` with op-specific
-#: operand meaning; generic entries carry the handler closure in ``a``.
-_BatchEntry = Tuple[int, object, int, int]
-
-_BATCH_ENTRIES: Dict[int, _BatchEntry] = {}
-
-
-def _b3(op: int):
-    """Entry factory for three-register-field opcodes."""
-
-    def build(i: Instruction) -> _BatchEntry:
-        return (op, i.rd, i.rs1, i.rs2)
-
-    return build
-
-
-def _b_bset(mask: int):
-    def build(i: Instruction) -> _BatchEntry:
-        return (_B_BSET, mask, WORD * i.simm(), 0)
-
-    return build
-
-
-def _b_bclr(mask: int):
-    def build(i: Instruction) -> _BatchEntry:
-        return (_B_BCLR, mask, WORD * i.simm(), 0)
-
-    return build
-
-
-_BATCH_FACTORIES: Dict[Opcode, Callable[[Instruction], _BatchEntry]] = {
-    Opcode.NOP: lambda i: (_B_NOP, 0, 0, 0),
-    Opcode.SVC: lambda i: (_B_SVC, i.imm, 0, 0),
-    Opcode.SIG: lambda i: (_B_SIG, i.imm, 0, 0),
-    Opcode.LDI: lambda i: (_B_LDI, i.rd, i.simm() & _U32, 0),
-    Opcode.LUI: lambda i: (_B_LUI, i.rd, (i.imm << 16) & _U32, 0),
-    Opcode.ORI: lambda i: (_B_ORI, i.rd, i.imm, 0),
-    Opcode.MOV: lambda i: (_B_MOV, i.rd, i.rs1, 0),
-    Opcode.LD: lambda i: (_B_LD, i.rd, i.rs1, i.simm()),
-    Opcode.ST: lambda i: (_B_ST, i.rd, i.rs1, i.simm()),
-    Opcode.PUSH: lambda i: (_B_PUSH, i.rd, 0, 0),
-    Opcode.POP: lambda i: (_B_POP, i.rd, 0, 0),
-    Opcode.ADD: _b3(_B_ADD),
-    Opcode.SUB: _b3(_B_SUB),
-    Opcode.MUL: _b3(_B_MUL),
-    Opcode.DIV: _b3(_B_DIV),
-    Opcode.AND: _b3(_B_AND),
-    Opcode.OR: _b3(_B_OR),
-    Opcode.XOR: _b3(_B_XOR),
-    Opcode.SHL: _b3(_B_SHL),
-    Opcode.SHR: _b3(_B_SHR),
-    Opcode.ADDI: lambda i: (_B_ADDI, i.rd, i.rs1, i.simm()),
-    Opcode.CMP: lambda i: (_B_CMP, i.rs1, i.rs2, 0),
-    Opcode.FADD: _b3(_B_FADD),
-    Opcode.FSUB: _b3(_B_FSUB),
-    Opcode.FMUL: _b3(_B_FMUL),
-    Opcode.FDIV: _b3(_B_FDIV),
-    Opcode.FCMP: lambda i: (_B_FCMP, i.rs1, i.rs2, 0),
-    Opcode.ITOF: lambda i: (_B_ITOF, i.rd, i.rs1, 0),
-    Opcode.FTOI: lambda i: (_B_FTOI, i.rd, i.rs1, 0),
-    Opcode.FNEG: lambda i: (_B_FNEG, i.rd, i.rs1, 0),
-    Opcode.BR: lambda i: (_B_BR, WORD * i.simm(), 0, 0),
-    Opcode.BEQ: _b_bset(FLAG_Z),
-    Opcode.BNE: _b_bclr(FLAG_Z),
-    Opcode.BLT: _b_bset(FLAG_N),
-    Opcode.BGE: _b_bclr(FLAG_N | FLAG_V),
-    Opcode.BGT: _b_bclr(FLAG_Z | FLAG_N | FLAG_V),
-    Opcode.BLE: _b_bset(FLAG_Z | FLAG_N),
-    Opcode.BVS: _b_bset(FLAG_V),
-    Opcode.CALL: lambda i: (_B_CALL, WORD * i.simm(), 0, 0),
-    Opcode.RET: lambda i: (_B_RET, 0, 0, 0),
-    Opcode.JR: lambda i: (_B_JR, i.rs1, 0, 0),
-    Opcode.CHK: _b3(_B_CHK),
-    # HALT / WFI / SETMODE run once per experiment at most; they stay on
-    # the generic path.
-}
-
-
-def _batch_entry(word: int) -> _BatchEntry:
-    """Predecode ``word`` into a batch entry, sharing the process-wide
-    table.  Words the inline arms cannot express exactly (privileged
-    ops, illegal words, out-of-range register fields) get a generic
-    entry around the handler path's own closure."""
-    instruction = _decode_cached(word)
-    entry: Optional[_BatchEntry] = None
+    entry = _GENERIC_ENTRY
     if instruction is not None:
-        factory = _BATCH_FACTORIES.get(instruction.opcode)
-        if factory is not None:
-            for name in _FIELDS_USED[instruction.opcode]:
-                if getattr(instruction, name) > SP_INDEX:
-                    factory = None
-                    break
-        if factory is not None:
+        factory = _ENTRY_FACTORIES.get(instruction.opcode)
+        if factory is not None and all(
+            getattr(instruction, name) <= SP_INDEX
+            for name in _FIELDS_USED.get(instruction.opcode, ())
+        ):
             entry = factory(instruction)
-    if entry is None:
-        handler = _PREDECODE.get(word)
-        if handler is None:
-            handler = _predecode(word)
-        entry = (_B_GENERIC, handler, 0, 0)
-    if len(_BATCH_ENTRIES) < _PREDECODE_CAP:
-        _BATCH_ENTRIES[word] = entry
+    if len(_ENTRIES) < _ENTRIES_CAP:
+        _ENTRIES[word] = entry
     return entry
 
 
+def _float_result_bits(value: float, operands_finite: bool) -> int:
+    try:
+        packed = _STRUCT_F.pack(value)
+    except OverflowError:
+        packed = _STRUCT_F.pack(_INF if value > 0 else -_INF)
+    rounded = _STRUCT_F.unpack(packed)[0]
+    if rounded != rounded:
+        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN result")
+    if rounded == _INF or rounded == -_INF:
+        if operands_finite:
+            raise_detection(Mechanism.OVERFLOW_CHECK, "float overflow")
+    elif value != 0.0 and abs(rounded) < _MIN_NORMAL:
+        raise_detection(Mechanism.UNDERFLOW_CHECK, "underflow/denormal result")
+    return _STRUCT_I.unpack(packed)[0]
 
-def _batch_miss_read(cache, memory, address: int, line: int, tag: int) -> int:
+
+def _miss_read(cache, memory, address: int, line: int, tag: int) -> int:
     """:meth:`DataCache.read`'s miss path for a known-cacheable address
     with no recorder attached, with the delegated chain's region scans
     and per-call rechecks flattened out.  Mutation order matches the
@@ -1787,7 +1463,7 @@ def _batch_miss_read(cache, memory, address: int, line: int, tag: int) -> int:
     return value
 
 
-def _batch_miss_write(
+def _miss_write(
     cache, memory, address: int, value: int, line: int, tag: int
 ) -> None:
     """:meth:`DataCache.write`'s miss path (write-allocate, no refill)
@@ -1820,550 +1496,18 @@ def _batch_miss_write(
     cache.dirty[line] = 1
 
 
-class BatchEngine:
-    """One shared dispatch loop for a batch of faulty lanes.
 
-    The engine owns no per-lane state: callers keep K independent
-    :class:`CPU` lanes (plus their caches/memories) and feed each
-    lane's next execution slice through :meth:`run`, which behaves
-    exactly like :meth:`CPU.run` with fast dispatch — same results,
-    same detection events, same cache statistics — but executes hot
-    opcodes inline over the lane's hoisted state arrays instead of
-    calling per-word closures.
+class BatchEngine:
+    """The dispatch loop batch lanes run through.
+
+    Callers keep K independent :class:`CPU` lanes (plus their
+    caches/memories) and feed each lane's next execution slice through
+    :meth:`run`; the loop itself is :meth:`CPU.run`, shared by every
+    un-traced execution.
     """
 
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        #: Word -> entry table, shared process-wide (content-addressed
-        #: by the raw instruction word, so lanes with corrupted IRs
-        #: dispatch through the corrupted word's own entry).
-        self.entries = _BATCH_ENTRIES
+    __slots__ = ()
 
     def run(self, cpu: CPU, max_instructions: int) -> StepResult:
         """Run one lane until yield/halt/detection or budget end."""
-        if (
-            cpu.recorder is not None
-            or cpu.trace_hook is not None
-            or not cpu.fast_dispatch
-        ):
-            # Tracing lanes must observe every access (and a CPU with
-            # fast dispatch switched off is a baseline-measurement
-            # configuration): take the exact non-batched path.
-            return cpu.run(max_instructions)
-        if cpu.detection is not None:
-            return StepResult.DETECTED
-        if cpu.halted:
-            return StepResult.HALTED
-        cpu.last_svc = None
-
-        # Lane state, hoisted for the duration of the slice.  ``regs``
-        # and the cache line lists are mutated in place, so they need
-        # no write-back; scalars are synced at every exit below.
-        regs = cpu.regs
-        pc = cpu.pc
-        psw = cpu.psw
-        ir = cpu.ir & _U32
-        mar = cpu.mar
-        mdr = cpu.mdr
-        last_sig = cpu.last_signature
-        index = cpu.instruction_index
-        successors = cpu.signature_successors
-
-        memory = cpu.memory
-        cache = cpu.cache
-        layout = cpu.layout
-        cache_valid = cache.valid
-        cache_tags = cache.tags
-        cache_data = cache.data
-        miss_read = _batch_miss_read
-        miss_write = _batch_miss_write
-        read_word = memory.read_data_word
-        write_word = memory.write_data_word
-        fetch = memory.fetch_word_cached
-        fc_get = memory.fetch_cache.get
-        hits = 0
-
-        code_base = layout.code_base
-        code_end = code_base + layout.code_size
-        rodata_base = layout.rodata_base
-        rodata_end = rodata_base + layout.rodata_size
-        data_base = layout.data_base
-        data_end = data_base + layout.data_size
-        stack_base = layout.stack_base
-        stack_top = layout.stack_top
-
-        entries_get = self.entries.get
-        build = _batch_entry
-        unpack_f = _STRUCT_F.unpack
-        pack_i = _STRUCT_I.pack
-
-        try:
-            for _ in range(max_instructions):
-                word = ir
-                entry = entries_get(word)
-                if entry is None:
-                    entry = build(word)
-                op = entry[0]
-                if op == _B_LD:
-                    address = (regs[entry[2]] + entry[3]) & _U32
-                    mar = address
-                    if (
-                        data_base <= address < data_end
-                        or stack_base <= address < stack_top
-                        or rodata_base <= address < rodata_end
-                    ):
-                        line = (address >> 2) & 31
-                        tag = (address >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            value = cache_data[line]
-                        else:
-                            value = miss_read(cache, memory, address, line, tag)
-                    else:
-                        value = read_word(address)
-                    mdr = value
-                    regs[entry[1]] = value
-                elif op == _B_ST:
-                    address = (regs[entry[2]] + entry[3]) & _U32
-                    value = regs[entry[1]]
-                    mar = address
-                    mdr = value
-                    if (
-                        data_base <= address < data_end
-                        or stack_base <= address < stack_top
-                        or rodata_base <= address < rodata_end
-                    ):
-                        line = (address >> 2) & 31
-                        tag = (address >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            cache_data[line] = value
-                            cache.dirty[line] = 1
-                        else:
-                            miss_write(cache, memory, address, value, line, tag)
-                    else:
-                        write_word(address, value)
-                elif op == _B_ADDI:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    result = a + entry[3]
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "integer add overflow"
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_CMP:
-                    au = regs[entry[1]]
-                    bu = regs[entry[2]]
-                    a = au - _TWO32 if au & _SIGN else au
-                    b = bu - _TWO32 if bu & _SIGN else bu
-                    psw &= ~_FLAG_WRITE_MASK
-                    if a == b:
-                        psw |= FLAG_Z
-                    if a < b:
-                        psw |= FLAG_N
-                    if au < bu:
-                        psw |= FLAG_C
-                elif op == _B_BSET:
-                    if psw & entry[1]:
-                        target = (pc + entry[2]) & _U32
-                        if not code_base <= target < code_end:
-                            raise_detection(
-                                Mechanism.JUMP_ERROR,
-                                f"target {target:#x} outside code",
-                            )
-                        index += 1
-                        pc = target
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
-                        continue
-                elif op == _B_BCLR:
-                    if not psw & entry[1]:
-                        target = (pc + entry[2]) & _U32
-                        if not code_base <= target < code_end:
-                            raise_detection(
-                                Mechanism.JUMP_ERROR,
-                                f"target {target:#x} outside code",
-                            )
-                        index += 1
-                        pc = target
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
-                        continue
-                elif op == _B_FMUL or op == _B_FADD or op == _B_FSUB:
-                    a = unpack_f(pack_i(regs[entry[2]]))[0]
-                    if a != a:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    b = unpack_f(pack_i(regs[entry[3]]))[0]
-                    if b != b:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    if op == _B_FMUL:
-                        value = a * b
-                    elif op == _B_FADD:
-                        value = a + b
-                    else:
-                        value = a - b
-                    regs[entry[1]] = _float_result_bits(
-                        value, abs(a) != _INF and abs(b) != _INF
-                    )
-                elif op == _B_MOV:
-                    regs[entry[1]] = regs[entry[2]]
-                elif op == _B_BR:
-                    target = (pc + entry[1]) & _U32
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_SIG:
-                    sig = entry[1]
-                    if not successors:
-                        last_sig = sig
-                    else:
-                        if last_sig is not None:
-                            allowed = successors.get(last_sig)
-                            if allowed is None or sig not in allowed:
-                                raise_detection(
-                                    Mechanism.CONTROL_FLOW_ERROR,
-                                    f"signature {last_sig} -> {sig}",
-                                )
-                        last_sig = sig
-                elif op == _B_ADD or op == _B_SUB:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    b = regs[entry[3]]
-                    if b & _SIGN:
-                        b -= _TWO32
-                    result = a + b if op == _B_ADD else a - b
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK,
-                            "integer add overflow"
-                            if op == _B_ADD
-                            else "integer sub overflow",
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_FDIV:
-                    a = unpack_f(pack_i(regs[entry[2]]))[0]
-                    if a != a:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    b = unpack_f(pack_i(regs[entry[3]]))[0]
-                    if b != b:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    finite = abs(a) != _INF and abs(b) != _INF
-                    if b == 0.0:
-                        raise_detection(
-                            Mechanism.DIVISION_CHECK, "float divide by zero"
-                        )
-                    regs[entry[1]] = _float_result_bits(a / b, finite)
-                elif op == _B_FCMP:
-                    a = unpack_f(pack_i(regs[entry[1]]))[0]
-                    b = unpack_f(pack_i(regs[entry[2]]))[0]
-                    psw &= ~_FLAG_WRITE_MASK
-                    if a != a or b != b:
-                        psw |= FLAG_V
-                    else:
-                        if a == b:
-                            psw |= FLAG_Z
-                        if a < b:
-                            psw |= FLAG_N
-                elif op == _B_PUSH:
-                    sp = (regs[_SP] - WORD) & _U32
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    value = regs[entry[1]]
-                    mar = sp
-                    mdr = value
-                    if (
-                        data_base <= sp < data_end
-                        or stack_base <= sp < stack_top
-                        or rodata_base <= sp < rodata_end
-                    ):
-                        line = (sp >> 2) & 31
-                        tag = (sp >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            cache_data[line] = value
-                            cache.dirty[line] = 1
-                        else:
-                            miss_write(cache, memory, sp, value, line, tag)
-                    else:
-                        write_word(sp, value)
-                    regs[_SP] = sp
-                elif op == _B_POP:
-                    sp = regs[_SP]
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    if sp >= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, "pop from empty stack"
-                        )
-                    mar = sp
-                    line = (sp >> 2) & 31
-                    tag = (sp >> 7) & 0x7FFFFF
-                    if cache_valid[line] and cache_tags[line] == tag:
-                        hits += 1
-                        value = cache_data[line]
-                    else:
-                        value = miss_read(cache, memory, sp, line, tag)
-                    mdr = value
-                    regs[entry[1]] = value
-                    regs[_SP] = (sp + WORD) & _U32
-                elif op == _B_CALL:
-                    sp = (regs[_SP] - WORD) & _U32
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    value = (pc + WORD) & _U32
-                    mar = sp
-                    mdr = value
-                    if (
-                        data_base <= sp < data_end
-                        or stack_base <= sp < stack_top
-                        or rodata_base <= sp < rodata_end
-                    ):
-                        line = (sp >> 2) & 31
-                        tag = (sp >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            cache_data[line] = value
-                            cache.dirty[line] = 1
-                        else:
-                            miss_write(cache, memory, sp, value, line, tag)
-                    else:
-                        write_word(sp, value)
-                    regs[_SP] = sp
-                    target = (pc + entry[1]) & _U32
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_RET:
-                    sp = regs[_SP]
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    if sp >= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, "return with empty stack"
-                        )
-                    mar = sp
-                    line = (sp >> 2) & 31
-                    tag = (sp >> 7) & 0x7FFFFF
-                    if cache_valid[line] and cache_tags[line] == tag:
-                        hits += 1
-                        target = cache_data[line]
-                    else:
-                        target = miss_read(cache, memory, sp, line, tag)
-                    mdr = target
-                    regs[_SP] = (sp + WORD) & _U32
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_LDI or op == _B_LUI:
-                    regs[entry[1]] = entry[2]
-                elif op == _B_ORI:
-                    regs[entry[1]] |= entry[2]
-                elif op == _B_MUL:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    b = regs[entry[3]]
-                    if b & _SIGN:
-                        b -= _TWO32
-                    result = a * b
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "integer mul overflow"
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_DIV:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    b = regs[entry[3]]
-                    if b & _SIGN:
-                        b -= _TWO32
-                    if b == 0:
-                        raise_detection(
-                            Mechanism.DIVISION_CHECK, "integer divide by zero"
-                        )
-                    result = int(a / b)  # truncating division
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "integer div overflow"
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_AND:
-                    regs[entry[1]] = regs[entry[2]] & regs[entry[3]]
-                elif op == _B_OR:
-                    regs[entry[1]] = regs[entry[2]] | regs[entry[3]]
-                elif op == _B_XOR:
-                    regs[entry[1]] = regs[entry[2]] ^ regs[entry[3]]
-                elif op == _B_SHL:
-                    regs[entry[1]] = (
-                        regs[entry[2]] << (regs[entry[3]] & 31)
-                    ) & _U32
-                elif op == _B_SHR:
-                    regs[entry[1]] = regs[entry[2]] >> (regs[entry[3]] & 31)
-                elif op == _B_ITOF:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    regs[entry[1]] = _float_result_bits(float(a), True)
-                elif op == _B_FTOI:
-                    value = unpack_f(pack_i(regs[entry[2]]))[0]
-                    if value != value:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    if not _INT_MIN <= value <= _INT_MAX:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "float to int overflow"
-                        )
-                    regs[entry[1]] = int(value) & _U32
-                elif op == _B_FNEG:
-                    regs[entry[1]] = regs[entry[2]] ^ 0x80000000
-                elif op == _B_CHK:
-                    low = unpack_f(pack_i(regs[entry[1]]))[0]
-                    value = unpack_f(pack_i(regs[entry[2]]))[0]
-                    high = unpack_f(pack_i(regs[entry[3]]))[0]
-                    if not low <= value <= high:
-                        raise_detection(
-                            Mechanism.CONSTRAINT_ERROR,
-                            f"{value!r} outside [{low!r}, {high!r}]",
-                        )
-                elif op == _B_JR:
-                    target = regs[entry[1]]
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_SVC:
-                    cpu.last_svc = entry[1]
-                    index += 1
-                    pc = (pc + WORD) & _U32
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    cpu.pc = pc
-                    cpu.psw = psw
-                    cpu.ir = ir
-                    cpu.mar = mar
-                    cpu.mdr = mdr
-                    cpu.last_signature = last_sig
-                    cpu.instruction_index = index
-                    cache.hits += hits
-                    return StepResult.YIELD
-                elif op == _B_NOP:
-                    pass
-                else:  # _B_GENERIC: delegate to the handler path.
-                    cpu.pc = pc
-                    cpu.psw = psw
-                    cpu.mar = mar
-                    cpu.mdr = mdr
-                    cpu.last_signature = last_sig
-                    try:
-                        r = entry[1](cpu)
-                    finally:
-                        psw = cpu.psw
-                        mar = cpu.mar
-                        mdr = cpu.mdr
-                        last_sig = cpu.last_signature
-                    index += 1
-                    if r is None:
-                        pc = (pc + WORD) & _U32
-                    elif r.__class__ is int:
-                        pc = r
-                    elif r is _HALT:
-                        cpu.pc = pc
-                        cpu.psw = psw
-                        cpu.ir = ir
-                        cpu.mar = mar
-                        cpu.mdr = mdr
-                        cpu.last_signature = last_sig
-                        cpu.instruction_index = index
-                        cache.hits += hits
-                        return StepResult.HALTED
-                    else:  # _YIELD
-                        pc = (pc + WORD) & _U32
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
-                        cpu.pc = pc
-                        cpu.psw = psw
-                        cpu.ir = ir
-                        cpu.mar = mar
-                        cpu.mdr = mdr
-                        cpu.last_signature = last_sig
-                        cpu.instruction_index = index
-                        cache.hits += hits
-                        return StepResult.YIELD
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                index += 1
-                pc = (pc + WORD) & _U32
-                ir = fc_get(pc, -1)
-                if ir < 0:
-                    ir = fetch(pc)
-        except HardwareDetection as event:
-            cpu.pc = pc
-            cpu.psw = psw
-            cpu.ir = ir
-            cpu.mar = mar
-            cpu.mdr = mdr
-            cpu.last_signature = last_sig
-            cpu.instruction_index = index
-            cache.hits += hits
-            cpu.detection = DetectionEvent(
-                mechanism=event.mechanism,
-                pc=pc,
-                instruction_index=index,
-                detail=event.detail,
-            )
-            notify_detection(cpu.detection)
-            return StepResult.DETECTED
-        cpu.pc = pc
-        cpu.psw = psw
-        cpu.ir = ir
-        cpu.mar = mar
-        cpu.mdr = mdr
-        cpu.last_signature = last_sig
-        cpu.instruction_index = index
-        cache.hits += hits
-        return StepResult.OK
+        return cpu.run(max_instructions)

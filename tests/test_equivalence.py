@@ -230,20 +230,30 @@ class TestBatchedExecution:
         assert len(live) >= 8
         return live[:12]
 
-    def _target(self, workload, batch_size):
+    def _target(self, workload, batch_size, fast_dispatch=True):
         target = TargetSystem(
             workload=workload,
             environment=EngineEnvironment(),
             iterations=40,
             batch_size=batch_size,
+            fast_dispatch=fast_dispatch,
         )
         target.run_reference()
         return target
 
+    # Batch lanes and serial experiments share CPU.run's table-driven
+    # loop, so the serial side is also run on the reference chain.
+    @pytest.mark.parametrize(
+        "serial_fast_dispatch",
+        [True, False],
+        ids=["table_loop", "reference_chain"],
+    )
     def test_batch_matches_serial_field_for_field(
-        self, algorithm_i_compiled, live_faults
+        self, algorithm_i_compiled, live_faults, serial_fast_dispatch
     ):
-        serial = self._target(algorithm_i_compiled, 1)
+        serial = self._target(
+            algorithm_i_compiled, 1, fast_dispatch=serial_fast_dispatch
+        )
         batched = self._target(algorithm_i_compiled, 4)
         expected = [serial.run_experiment(f) for f in live_faults]
         actual = batched.run_experiment_batch(list(live_faults))

@@ -14,7 +14,7 @@ import struct
 import pytest
 
 from repro.analysis.report import render_outcome_table
-from repro.faults.models import FaultTarget
+from repro.faults.models import FaultDescriptor, FaultTarget
 from repro.goofi.campaign import CampaignConfig, ScifiCampaign
 from repro.goofi.pool import ReferencePool
 from repro.goofi.prerun import PreRuntimeCampaign
@@ -85,6 +85,43 @@ class TestDispatchEquivalence:
         assert runs[True].outcomes == runs[False].outcomes
         for a, b in zip(runs[True].experiments, runs[False].experiments):
             assert a.outputs == b.outputs
+
+
+class TestPrefixReplay:
+    def test_serial_experiment_replays_prefix_without_stepping(
+        self, workload, monkeypatch
+    ):
+        """A serial experiment replays its fault-free prefix in one loop
+        call, never one ``CPU.step`` per instruction, and its outcome is
+        still the outcome of the full-length run on a fresh target."""
+        target, reference = _reference(workload)
+        faults = []
+        for k in (3, 17, 41):
+            start, end = reference.instructions_at[k : k + 2]
+            for element, bit in (("r1", 4), ("pc", 3), ("sp", 2)):
+                faults.append(
+                    FaultDescriptor(
+                        FaultTarget(REGISTER_PARTITION, element, bit),
+                        start + (end - start) // 2,
+                    )
+                )
+        for fault in faults:
+            located = reference.locate(fault.time)
+            assert fault.time > reference.instructions_at[located]
+        fresh, _ = _reference(workload)
+        expected = [fresh.run_experiment(f, early_exit=False) for f in faults]
+
+        def _no_step(cpu):
+            raise AssertionError("CPU.step called during a serial experiment")
+
+        monkeypatch.setattr(CPU, "step", _no_step)
+        for fault, want in zip(faults, expected):
+            got = target.run_experiment(fault)
+            assert list(got.outputs) == list(want.outputs), fault.label()
+            assert got.detection == want.detection
+            assert got.detected_iteration == want.detected_iteration
+            assert got.timed_out == want.timed_out
+            assert got.final_state_differs == want.final_state_differs
 
 
 class TestIncrementalHashEquivalence:
