@@ -1,8 +1,7 @@
 """Benchmark: the delta data plane.
 
 Measures the three layers of the dirty-tracked data plane against the
-legacy full-copy baseline (``delta_dataplane=False, locality_sort=False``)
-and gates:
+legacy full-copy baseline (``delta_dataplane=False``) and gates:
 
 1. the pickled per-worker reference payload is >= 5x smaller,
 2. golden equivalence — identical outcomes and summary tables across
@@ -21,9 +20,8 @@ on the write path cancels against the locality-sorted seats and the
 shared-output views).  Its real wins at this scale are the ~6.7x
 smaller per-worker reference payload and the O(footprint) cost model,
 which is what makes paper-scale campaigns on realistically sized
-machine states tractable — same situation as equivalence collapse in
-``bench_equivalence.py``, where the machinery is validated here and
-pays off at a different operating point.  The wall-clock gate is
+machine states tractable: the machinery is validated here and pays off
+at a different operating point.  The wall-clock gate is
 therefore a *parity floor*, not a speedup claim; the payload and
 equivalence gates stay hard.
 
@@ -77,9 +75,10 @@ def _configs():
         iterations=bench_iterations(),
         seed=2001,
     )
-    # Candidate: delta checkpoints + undo-log restore + locality sort
-    # (the defaults).  Baseline: the classic full-copy plane.
-    return base, replace(base, delta_dataplane=False, locality_sort=False)
+    # Candidate: delta checkpoints + undo-log restore (the default).
+    # Baseline: the classic full-copy plane.  Both legs execute live
+    # faults in injection-time order.
+    return base, replace(base, delta_dataplane=False)
 
 
 def _payload_bytes(delta: bool) -> int:

@@ -111,10 +111,8 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         iterations=args.iterations,
         partitions=args.partitions,
         prune=args.prune,
-        collapse=args.collapse,
         batch_size=args.batch_size,
         delta_dataplane=args.delta_dataplane,
-        locality_sort=args.locality_sort,
         chaos=chaos,
     )
 
@@ -132,12 +130,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         from repro.goofi.pruning import validate_pruning
 
         report = validate_pruning(config, workers=args.workers)
-        print(report.render())
-        return 0 if report.ok else 1
-    if args.validate_collapse:
-        from repro.goofi.pruning import validate_collapse
-
-        report = validate_collapse(config, workers=args.workers)
         print(report.render())
         return 0 if report.ok else 1
     if args.resume is not None and not args.database:
@@ -660,14 +652,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "def/use access trace proves (see docs/performance.md)",
     )
     parser.add_argument(
-        "--collapse",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="simulate one representative per outcome-equivalence class "
-        "of live faults and replay its result for the rest "
-        "(see docs/performance.md)",
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=1,
@@ -683,14 +667,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "through an undo log of touched words (default: on; "
         "--no-delta-dataplane pins the legacy full-copy plane, see "
         "docs/performance.md)",
-    )
-    parser.add_argument(
-        "--locality-sort",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="execute live faults in injection-time order with "
-        "throughput-adaptive worker chunks (default: on; results are "
-        "reported in plan order either way)",
     )
     parser.add_argument(
         "--chaos",
@@ -745,15 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--validate-pruning",
         action="store_true",
-        help="run the campaign with and without pruning and fail "
-        "(exit 1) unless every per-experiment outcome matches",
-    )
-    campaign.add_argument(
-        "--validate-collapse",
-        action="store_true",
-        help="run the campaign with pruning+collapse+batching and "
-        "against the plain baseline; fail (exit 1) unless every "
-        "per-experiment outcome matches",
+        help="run the campaign pruned (and batched, with --batch-size) "
+        "and plain; fail (exit 1) unless every per-experiment outcome "
+        "matches",
     )
     campaign.add_argument(
         "--resume",

@@ -17,26 +17,13 @@ the faulted run up to that read.  Therefore a sampled fault whose bit is
 * **read first** must be simulated (*live*) — only execution can tell
   whether the read turns into a detection, a value failure or nothing.
 
-The same invariant powers *equivalence collapse* (OpenSEA-style fault
-grouping): two live faults in the same element whose first live read is
-the same dynamic access and which deliver the same masked value to it
-put the machine into the *identical* full state at that read — the
-pre-read state is ``reference ⊕ flip`` for both, and equal delivered
-values at the same site force the flipped bit to be the same one — so
-their entire subsequent trajectories, outputs and detections coincide.
-:meth:`LivenessMap.first_live_read` reports that read site (dynamic
-instruction index, per-element access ordinal, consumed mask) together
-with the value the *faulted* read would deliver, which
-:mod:`repro.goofi.pruning` uses as the collapse-class key.
-
 :class:`AccessRecorder` collects the per-element access trace during
 ``TargetSystem.run_reference(record_access=True)`` through no-op-by-
 default hooks in the CPU, the data cache and the memory map.  Accesses
 carry a bit mask so partial-element writes (the PSW's flag bits) prune
-correctly, and reads carry the reference value they observed.  Memory
-accesses are keyed by *integer* address internally — the hooks run once
-per data access of the reference run, so per-access ``f"{addr:#x}"``
-formatting is pure hot-path waste; the conversion to
+correctly.  Memory accesses are keyed by *integer* address internally —
+the hooks run once per data access of the reference run, so per-access
+``f"{addr:#x}"`` formatting is pure hot-path waste; the conversion to
 :mod:`repro.goofi.memfault`'s hex element naming happens once per
 query, at the :class:`~repro.faults.models.FaultTarget` boundary.
 :class:`LivenessMap` answers the classification query with a binary
@@ -45,15 +32,14 @@ search over each element's trace.
 Conservatism rules (they only cost pruning opportunities, never
 correctness): an access whose effect on a bit is uncertain is recorded
 as a read; read-modify-write sequences record at least the read first;
-elements the recorder does not cover at all classify as live; faults
-touching more than one bit never collapse.
+elements the recorder does not cover at all classify as live.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.faults.models import FaultDescriptor, FaultTarget
 from repro.thor.cache import LINES
@@ -105,47 +91,18 @@ class Liveness(enum.Enum):
     LATENT = "latent"
 
 
-#: One trace entry: (dynamic instruction index, is_write, bit mask,
-#: observed value).  The value is meaningful for reads only — it is the
-#: element's reference-run content the read consumed; write entries
-#: carry 0.
-AccessEntry = Tuple[int, bool, int, int]
-
-
-class ReadSite(NamedTuple):
-    """The first live read of a faulted bit, plus the faulty value.
-
-    ``index``/``mask`` identify *which dynamic access* consumes the
-    corrupted bit (``ordinal`` is the access's position in the
-    element's trace, which pins it uniquely even when one instruction
-    reads the same element more than once).  ``delivered`` is the
-    masked value the faulted run hands that access — the reference
-    value with the fault's bit flipped, restricted to the consumed
-    mask.  Two faults in the same element with equal sites and equal
-    ``delivered`` values are outcome-equivalent.
-    """
-
-    #: Dynamic instruction index of the consuming access.
-    index: int
-    #: Position of the access within the element's trace.
-    ordinal: int
-    #: Bit mask the access consumes.
-    mask: int
-    #: Masked value the faulted read delivers.
-    delivered: int
+#: One trace entry: (dynamic instruction index, is_write, bit mask).
+AccessEntry = Tuple[int, bool, int]
 
 
 class AccessRecorder:
     """Collects per-element access traces during a reference run.
 
     The CPU drives :attr:`now` (the dynamic instruction index) once per
-    instruction; every hook appends ``(now, is_write, mask, value)`` to
-    the accessed element's trace, preserving within-instruction order.
-    A *write* entry asserts that the masked bits were overwritten with
-    a value independent of their previous contents; a *read* entry
-    records the value the reference run observed, so equivalence
-    collapse can later reconstruct the value a faulted read would have
-    delivered.
+    instruction; every hook appends ``(now, is_write, mask)`` to the
+    accessed element's trace, preserving within-instruction order.  A
+    *write* entry asserts that the masked bits were overwritten with a
+    value independent of their previous contents.
     """
 
     __slots__ = ("now", "traces", "memory_ranges")
@@ -162,47 +119,47 @@ class AccessRecorder:
         self.memory_ranges.append((base, base + size))
 
     # -- hook entry points (duck-typed from thor; keep them lean) ----------
-    def reg_read(self, element: str, mask: int = FULL_MASK, value: int = 0) -> None:
+    def reg_read(self, element: str, mask: int = FULL_MASK) -> None:
         key = (REGISTER_PARTITION, element)
         trace = self.traces.get(key)
         if trace is None:
             trace = self.traces[key] = []
-        trace.append((self.now, False, mask, value))
+        trace.append((self.now, False, mask))
 
     def reg_write(self, element: str, mask: int = FULL_MASK) -> None:
         key = (REGISTER_PARTITION, element)
         trace = self.traces.get(key)
         if trace is None:
             trace = self.traces[key] = []
-        trace.append((self.now, True, mask, 0))
+        trace.append((self.now, True, mask))
 
-    def cache_read(self, line: int, field: str, value: int = 0) -> None:
+    def cache_read(self, line: int, field: str) -> None:
         key = _CACHE_KEYS[line][field]
         trace = self.traces.get(key)
         if trace is None:
             trace = self.traces[key] = []
-        trace.append((self.now, False, FULL_MASK, value))
+        trace.append((self.now, False, FULL_MASK))
 
     def cache_write(self, line: int, field: str) -> None:
         key = _CACHE_KEYS[line][field]
         trace = self.traces.get(key)
         if trace is None:
             trace = self.traces[key] = []
-        trace.append((self.now, True, FULL_MASK, 0))
+        trace.append((self.now, True, FULL_MASK))
 
-    def mem_read(self, address: int, value: int = 0) -> None:
+    def mem_read(self, address: int) -> None:
         key = (MEMORY_PARTITION, address)
         trace = self.traces.get(key)
         if trace is None:
             trace = self.traces[key] = []
-        trace.append((self.now, False, FULL_MASK, value))
+        trace.append((self.now, False, FULL_MASK))
 
     def mem_write(self, address: int) -> None:
         key = (MEMORY_PARTITION, address)
         trace = self.traces.get(key)
         if trace is None:
             trace = self.traces[key] = []
-        trace.append((self.now, True, FULL_MASK, 0))
+        trace.append((self.now, True, FULL_MASK))
 
 
 def _target_trace_key(target: FaultTarget) -> Optional[TraceKey]:
@@ -267,42 +224,10 @@ class LivenessMap:
         trace = self._traces[trace_key]
         bit = 1 << target.bit
         for i in range(bisect_left(times, time), len(trace)):
-            _t, is_write, mask, _value = trace[i]
+            _t, is_write, mask = trace[i]
             if mask & bit:
                 return Liveness.OVERWRITTEN if is_write else Liveness.LIVE
         return Liveness.LATENT
-
-    def first_live_read(
-        self, target: FaultTarget, time: int
-    ) -> Optional[ReadSite]:
-        """The read that first consumes the flipped bit, if any.
-
-        Returns ``None`` when the bit is not live-by-read: overwritten
-        or latent bits have no consuming read, and always-live elements
-        (pc/ir) or uncovered elements are live for reasons the trace
-        cannot localise, so they get no site and never collapse.
-        """
-        key = (target.partition, target.element)
-        if key in ALWAYS_LIVE or not self._covers(target):
-            return None
-        trace_key = _target_trace_key(target)
-        times = self._times.get(trace_key)
-        if times is None:
-            return None
-        trace = self._traces[trace_key]
-        bit = 1 << target.bit
-        for i in range(bisect_left(times, time), len(trace)):
-            now, is_write, mask, value = trace[i]
-            if mask & bit:
-                if is_write:
-                    return None
-                return ReadSite(
-                    index=now,
-                    ordinal=i,
-                    mask=mask,
-                    delivered=(value ^ bit) & mask,
-                )
-        return None
 
     def classify_fault(self, fault: FaultDescriptor) -> Liveness:
         """Pre-classify a (possibly multi-bit) fault descriptor.

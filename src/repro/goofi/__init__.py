@@ -34,15 +34,11 @@ from repro.goofi.prerun import (
     sample_image_faults,
 )
 from repro.goofi.pruning import (
-    CollapsedPlan,
     PrunedPlan,
     ValidationReport,
-    collapse_live_plan,
     preclassify_pairs,
     preclassify_plan,
-    replay_equivalent,
     synthesize_run,
-    validate_collapse,
     validate_pruning,
 )
 from repro.goofi.recovery import (
@@ -79,15 +75,11 @@ __all__ = [
     "PreRuntimeCampaign",
     "PreRuntimeResult",
     "sample_image_faults",
-    "CollapsedPlan",
     "PrunedPlan",
     "ValidationReport",
-    "collapse_live_plan",
     "preclassify_pairs",
     "preclassify_plan",
-    "replay_equivalent",
     "synthesize_run",
-    "validate_collapse",
     "validate_pruning",
     "ChaosSpec",
     "RecoveryPolicy",

@@ -41,12 +41,7 @@ from repro.faults.models import FaultDescriptor, LocationSpace, sample_fault_pla
 from repro.goofi.database import CampaignDatabase
 from repro.goofi.environment import EngineEnvironment
 from repro.goofi.pool import ReferencePool, WorkerPayload, worker_target
-from repro.goofi.pruning import (
-    collapse_live_plan,
-    preclassify_pairs,
-    replay_equivalent,
-    synthesize_run,
-)
+from repro.goofi.pruning import preclassify_pairs, synthesize_run
 from repro.goofi.recovery import (
     ChaosSpec,
     RecoveryPolicy,
@@ -95,37 +90,17 @@ class CampaignConfig:
             the next read, or never touched again) — the predicted
             experiments classify identically to simulated ones, see
             ``docs/performance.md``.  Off by default.
-        collapse: group live faults into outcome-equivalence classes
-            (same first live read consuming the same delivered value),
-            simulate one representative per class and replay its result
-            for the rest (``provenance='equivalent'``).  Also records
-            the access trace.  Off by default.
         batch_size: live faults simulated concurrently through one
             shared dispatch loop (each on its own lane of CPU/cache/
             environment state); ``1`` (default) pins the classic one-
-            at-a-time execution.  Like ``collapse``, proven outcome-
-            invariant by the golden-equivalence gate.
-        share_reference: ship the parent's golden run to the workers
-            instead of having every worker recompute it (parallel runs
-            only; outcomes are identical either way).
-        fast_dispatch: use the predecoded dispatch-table interpreter;
-            ``False`` pins the legacy decode/execute chain.
-        incremental_hash: compute boundary digests incrementally from
-            cached clean-image prefixes; ``False`` rebuilds every digest
-            from scratch.  All three flags exist for the
-            golden-equivalence test and benchmark baselines.
+            at-a-time execution.  Proven outcome-invariant by the
+            golden-equivalence gate.
         delta_dataplane: store the reference as a base snapshot plus
             per-iteration deltas and restore experiment state by
             unwinding an undo log of the touched words (see
             ``docs/performance.md``); ``False`` pins the legacy
             full-copy snapshot/restore plane.  Outcome-invariant, gated
             by the golden-equivalence suite.
-        locality_sort: execute live faults in injection-time order so
-            consecutive experiments restore to nearby boundaries (the
-            delta cursor's cheap path), and size parallel chunks
-            adaptively from measured worker throughput.  Results are
-            still streamed, stored and reported in plan order;
-            outcome-invariant like the other scheduling flags.
         environment_factory: builds the environment simulator.
         recovery: retry/backoff/quarantine policy of the crash-safety
             machinery (``docs/robustness.md``); never affects outcomes,
@@ -143,13 +118,8 @@ class CampaignConfig:
     watchdog_factor: float = 10.0
     early_exit: bool = True
     prune: bool = False
-    collapse: bool = False
     batch_size: int = 1
-    share_reference: bool = True
-    fast_dispatch: bool = True
-    incremental_hash: bool = True
     delta_dataplane: bool = True
-    locality_sort: bool = True
     environment_factory: Callable[[], EngineEnvironment] = EngineEnvironment
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     chaos: Optional[ChaosSpec] = None
@@ -208,10 +178,9 @@ def _run_chunk(args):
     """Worker entry point: run one slice of a fault plan.
 
     Top-level (picklable) by necessity; runs against the process-wide
-    target system built by the pool initializer — with a shared
-    reference the golden run was computed once in the parent and
-    shipped, otherwise the initializer recomputed it, but either way no
-    per-chunk reference run happens here.  ``chunk`` carries
+    target system built by the pool initializer from the golden run the
+    parent computed once and shipped, so no per-chunk reference run
+    happens here.  ``chunk`` carries
     ``(plan index, fault)`` pairs so telemetry can be re-ordered into
     plan order afterwards.  With ``batch_size > 1`` the chunk is cut
     into groups of that size and each group runs through the target's
@@ -325,8 +294,6 @@ class ScifiCampaign:
             environment=config.environment_factory(),
             iterations=config.iterations,
             watchdog_factor=config.watchdog_factor,
-            fast_dispatch=config.fast_dispatch,
-            incremental_hash=config.incremental_hash,
             batch_size=config.batch_size,
             environment_factory=config.environment_factory,
             delta_dataplane=config.delta_dataplane,
@@ -366,16 +333,12 @@ class ScifiCampaign:
                 experiment but outcomes report in completion order.
             workers: number of worker processes.  ``1`` (default) runs
                 serially in this process; ``N > 1`` fans the live plan
-                out over N processes.  With ``locality_sort`` (default)
-                the plan is executed in injection-time order through
+                out over N processes in injection-time order, through
                 adaptively sized chunks drawn on demand (see
-                ``docs/performance.md``); with it off the plan is dealt
-                into N *strided* slices (``plan[i::N]``), which balances
-                load even when plan order correlates with experiment
-                cost.  Results are bit-identical to the serial run
-                either way (every experiment is independent and fully
-                determined by its fault), just reordered back into plan
-                order.
+                ``docs/performance.md``).  Results are bit-identical to
+                the serial run (every experiment is independent and
+                fully determined by its fault), just reordered back into
+                plan order.
             telemetry: optional :class:`~repro.obs.Telemetry` bundle.
                 When given, the run records phase spans, per-experiment
                 metrics and JSONL events; per-worker registries/shards
@@ -576,9 +539,7 @@ class ScifiCampaign:
         config = self.config
         with span("campaign"):
             with span("reference_run"):
-                reference = self.target.run_reference(
-                    record_access=config.prune or config.collapse
-                )
+                reference = self.target.run_reference(record_access=config.prune)
                 if telemetry is not None and telemetry.metrics is not None:
                     telemetry.metrics.gauge("reference_instructions").set(
                         reference.total_instructions
@@ -678,37 +639,6 @@ class ScifiCampaign:
                                 "pruned_experiments",
                                 prediction=classification.value,
                             ).inc()
-            # Equivalence collapse: group the live remainder into
-            # outcome-equivalence classes; only class representatives
-            # stay in the live plan, the members replay their
-            # representative's simulated result once it exists.
-            equivalence_classes: Dict[int, List[Tuple[int, FaultDescriptor]]] = {}
-            if config.collapse:
-                with span("collapse"):
-                    liveness = self.target.liveness
-                    if liveness is None:
-                        raise CampaignError(
-                            "collapse requested but no liveness map recorded"
-                        )
-                    collapsed = collapse_live_plan(live_plan, liveness)
-                    live_plan = collapsed.representatives
-                    equivalence_classes = collapsed.members
-                    if telemetry is not None:
-                        if telemetry.metrics is not None:
-                            telemetry.metrics.counter(
-                                "collapsed_experiments"
-                            ).inc(collapsed.collapsed)
-                            telemetry.metrics.counter(
-                                "equivalence_classes"
-                            ).inc(collapsed.classes)
-                        telemetry.emit(
-                            "equivalence_collapse",
-                            ts=now(),
-                            live=len(live_plan) + collapsed.collapsed,
-                            representatives=len(live_plan),
-                            classes=collapsed.classes,
-                            collapsed=collapsed.collapsed,
-                        )
             if telemetry is not None and telemetry.metrics is not None:
                 telemetry.metrics.counter("simulated_experiments").inc(
                     len(live_plan)
@@ -719,14 +649,13 @@ class ScifiCampaign:
                 if workers <= 1:
                     experiments, outcomes = self._run_serial(
                         plan,
+                        live_plan,
                         reference,
                         telemetry,
                         progress,
                         predicted_results,
                         resumed_results,
                         sink,
-                        live_plan=live_plan,
-                        equivalence_classes=equivalence_classes,
                     )
                 else:
                     experiments, outcomes = self._run_parallel(
@@ -739,7 +668,6 @@ class ScifiCampaign:
                         resumed_results=resumed_results,
                         pool=pool,
                         sink=sink,
-                        equivalence_classes=equivalence_classes,
                     )
             wall = time.perf_counter() - started
 
@@ -809,34 +737,12 @@ class ScifiCampaign:
                 instructions_executed=experiment.instructions_executed,
                 predicted=experiment.provenance == "predicted",
                 quarantined=experiment.provenance == "quarantined",
-                equivalent=experiment.provenance == "equivalent",
-                representative_index=experiment.representative_index,
             )
             resumed[index] = (run, experiment.outcome)
         self.database.reopen_campaign(campaign_id)
         return resumed
 
     # -- serial execution ------------------------------------------------------
-    def _replay_equivalents(
-        self, rep_index, run, outcome, equivalence_classes, by_index, streamable
-    ) -> None:
-        """Copy a representative's simulated result to its class members.
-
-        A quarantined stand-in proves nothing about the class, so its
-        members are left unresolved and fall through to individual
-        simulation.  The classification is reused as-is: it depends
-        only on fields :func:`replay_equivalent` copies verbatim.
-        """
-        members = equivalence_classes.get(rep_index)
-        if not members or run.quarantined:
-            return
-        for m_index, m_fault in members:
-            if m_index in by_index:
-                continue
-            m_run = replay_equivalent(m_fault, run, rep_index)
-            by_index[m_index] = (m_run, outcome)
-            streamable.add(m_index)
-
     def _run_batch_recovered(
         self, group, reference_outputs, telemetry
     ) -> List[Tuple[ExperimentRun, Outcome]]:
@@ -864,78 +770,69 @@ class ScifiCampaign:
     def _run_serial(
         self,
         plan,
+        live_plan,
         reference,
         telemetry,
         progress,
         predicted_results,
         resumed_results,
         sink,
-        live_plan=None,
-        equivalence_classes=None,
     ):
+        """Simulate the live plan in this process, streaming as it goes.
+
+        The live plan is walked in consecutive plan-order windows of
+        ``config.iterations`` entries, about one per reference boundary.
+        Each window runs in injection-time order, so consecutive
+        experiments restore to nearby boundaries (the delta cursor's
+        cheap path), in groups through the shared dispatch loop when
+        batching is on.  Before the next window runs, the plan loop
+        streams every pair up to the window's end in plan order —
+        database rows, events, progress calls and heartbeats exactly as
+        a one-at-a-time run would emit them — so a long campaign keeps
+        its lease renewed and honours a cancel while it runs.
+        """
         by_index: Dict[int, Tuple[ExperimentRun, Outcome]] = {}
         by_index.update(resumed_results)
         by_index.update(predicted_results)
-        equivalence_classes = equivalence_classes or {}
-        # Indices the sink must store besides the freshly simulated
-        # ones: predictions, batched pre-simulations, equivalence
-        # replays.
-        streamable = set(predicted_results)
+        window = self.config.iterations
+        size = self.config.batch_size
+        next_window = 0
         heartbeat_every = self.config.recovery.heartbeat_every
         started = time.perf_counter()
-        if live_plan and (self.config.batch_size > 1 or self.config.locality_sort):
-            # Pre-simulation: live faults run ahead of the plan loop —
-            # in injection-time order when locality sorting is on (so
-            # consecutive experiments restore to nearby boundaries, the
-            # delta cursor's cheap path), and in groups through the
-            # shared dispatch loop when batching is on.  The plan loop
-            # below then streams and reports the stored pairs in plan
-            # order, exactly as the one-at-a-time path would have.
-            pending = [(i, f) for i, f in live_plan if i not in by_index]
-            if self.config.locality_sort:
-                pending.sort(key=lambda item: item[1].time)
-            size = self.config.batch_size
-            if size > 1:
-                for start in range(0, len(pending), size):
-                    group = pending[start : start + size]
-                    pairs = self._run_batch_recovered(
-                        group, reference.outputs, telemetry
-                    )
-                    for (i, _fault), pair in zip(group, pairs):
-                        by_index[i] = pair
-                        streamable.add(i)
-                        self._replay_equivalents(
-                            i, pair[0], pair[1], equivalence_classes, by_index, streamable
+        for i in range(len(plan)):
+            if i not in by_index:
+                # Every earlier index is resolved, so the next window
+                # of the live plan starts at ``i``.
+                batch = sorted(
+                    live_plan[next_window : next_window + window],
+                    key=lambda item: item[1].time,
+                )
+                next_window += window
+                for start in range(0, len(batch), size):
+                    group = batch[start : start + size]
+                    if size > 1:
+                        pairs = self._run_batch_recovered(
+                            group, reference.outputs, telemetry
                         )
-            else:
-                for i, fault in pending:
-                    pair = self._run_one_recovered(
-                        i, fault, reference.outputs, telemetry
+                    else:
+                        pairs = [
+                            self._run_one_recovered(
+                                *group[0], reference.outputs, telemetry
+                            )
+                        ]
+                    for (index, _fault), pair in zip(group, pairs):
+                        by_index[index] = pair
+            run, outcome = by_index[i]
+            if i not in resumed_results:
+                if sink is not None:
+                    sink.add(i, run, outcome)
+                if telemetry is not None:
+                    if telemetry.metrics is not None:
+                        record_outcome(telemetry.metrics, run, outcome)
+                    telemetry.emit(
+                        "experiment_finished",
+                        **experiment_event(i, run, outcome),
                     )
-                    by_index[i] = pair
-                    streamable.add(i)
-                    self._replay_equivalents(
-                        i, pair[0], pair[1], equivalence_classes, by_index, streamable
-                    )
-        for i, fault in enumerate(plan):
-            pair = by_index.get(i)
-            fresh = pair is None
-            if fresh:
-                pair = self._run_one_recovered(i, fault, reference.outputs, telemetry)
-                by_index[i] = pair
-                self._replay_equivalents(
-                    i, pair[0], pair[1], equivalence_classes, by_index, streamable
-                )
-            run, outcome = pair
-            if sink is not None and (fresh or i in streamable):
-                sink.add(i, run, outcome)
-            if telemetry is not None and i not in resumed_results:
-                if telemetry.metrics is not None:
-                    record_outcome(telemetry.metrics, run, outcome)
-                telemetry.emit(
-                    "experiment_finished",
-                    **experiment_event(i, run, outcome),
-                )
             if progress is not None:
                 progress(i + 1, len(plan), outcome)
             if (
@@ -1040,7 +937,6 @@ class ScifiCampaign:
         resumed_results=None,
         pool=None,
         sink=None,
-        equivalence_classes=None,
     ):
         """Fan the live plan out over worker processes, preserving plan order.
 
@@ -1066,12 +962,6 @@ class ScifiCampaign:
         written to a pseudo-shard (submission id 0, which no worker
         uses) so the shard merge interleaves their events back into plan
         order alongside the workers' simulated ones.
-
-        With equivalence collapse the live plan holds only class
-        representatives; each member's result is replayed in the parent
-        as its representative's chunk arrives.  A representative that
-        ends up quarantined replays nothing — its members are requeued
-        as an ordinary chunk and simulated individually.
         """
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
@@ -1080,7 +970,6 @@ class ScifiCampaign:
         policy = config.recovery
         predicted_results = predicted_results or {}
         resumed_results = resumed_results or {}
-        equivalence_classes = equivalence_classes or {}
         metrics_enabled = telemetry is not None and telemetry.metrics is not None
         reference_outputs = self.target.reference.outputs
         payload = WorkerPayload(
@@ -1088,9 +977,7 @@ class ScifiCampaign:
             iterations=config.iterations,
             watchdog_factor=config.watchdog_factor,
             environment_factory=config.environment_factory,
-            reference=(self.target.reference if config.share_reference else None),
-            fast_dispatch=config.fast_dispatch,
-            incremental_hash=config.incremental_hash,
+            reference=self.target.reference,
             delta_dataplane=config.delta_dataplane,
         )
         own_pool = pool is None
@@ -1144,32 +1031,21 @@ class ScifiCampaign:
         # remaining plan from the results table instead.
         work.purge(topic)
         lease_worker = f"pool-{os.getpid()}"
-        reservoir: deque = deque()
-        chunk_size = 0
-        if config.locality_sort:
-            # Locality-aware scheduling: the live plan is executed in
-            # injection-time order (consecutive experiments restore to
-            # nearby boundaries, the delta cursor's cheap path) and cut
-            # into contiguous chunks drawn on demand, sized so one chunk
-            # costs about ``target_chunk_seconds`` at the measured
-            # throughput — small chunks near the end keep the straggler
-            # tail short.  Chunks enter the queue as they are drawn (a
-            # targeted lease keeps an older requeued job from being
-            # claimed in their place).  Plan order is restored when
-            # results arrive, so outcomes, storage and merged telemetry
-            # are unchanged.
-            reservoir.extend(sorted(live_plan, key=lambda item: item[1].time))
-            chunk_size = max(
-                policy.min_chunk_size,
-                min(
-                    policy.max_chunk_size,
-                    max(1, len(reservoir) // (workers * 8)),
-                ),
-            )
-        else:
-            for chunk_items in (live_plan[i::workers] for i in range(workers)):
-                if chunk_items:
-                    work.enqueue(list(chunk_items), topic=topic)
+        # Locality-aware scheduling: the live plan is executed in
+        # injection-time order (consecutive experiments restore to
+        # nearby boundaries, the delta cursor's cheap path) and cut into
+        # contiguous chunks drawn on demand, sized so one chunk costs
+        # about ``target_chunk_seconds`` at the measured throughput —
+        # small chunks near the end keep the straggler tail short.
+        # Chunks enter the queue as they are drawn (a targeted lease
+        # keeps an older requeued job from being claimed in their
+        # place).  Plan order is restored when results arrive, so
+        # outcomes, storage and merged telemetry are unchanged.
+        reservoir = deque(sorted(live_plan, key=lambda item: item[1].time))
+        chunk_size = max(
+            policy.min_chunk_size,
+            min(policy.max_chunk_size, max(1, len(reservoir) // (workers * 8))),
+        )
         active: Dict[object, Tuple[LeasedJob, int, Optional[str]]] = {}
         submission = 0
         rebuilds = 0
@@ -1200,25 +1076,6 @@ class ScifiCampaign:
             record_result(index, run, outcome)
             if sink is not None:
                 sink.flush()
-            # A quarantined representative proves nothing about its
-            # equivalence class: simulate the members individually.
-            members = equivalence_classes.pop(index, None)
-            if members:
-                work.enqueue(list(members), topic=topic)
-
-        def replay_members(index, run, outcome) -> None:
-            """Replay an arrived representative's result for its class."""
-            for m_index, m_fault in equivalence_classes.get(index, ()):
-                if m_index in by_index:
-                    continue
-                m_run = replay_equivalent(m_fault, run, index)
-                if metrics_enabled:
-                    record_outcome(telemetry.metrics, m_run, outcome)
-                emit(
-                    "experiment_finished",
-                    **experiment_event(m_index, m_run, outcome),
-                )
-                record_result(m_index, m_run, outcome)
 
         def handle_failure(
             job: LeasedJob,
@@ -1399,14 +1256,9 @@ class ScifiCampaign:
                                 if index not in newly:
                                     continue
                                 record_result(index, run, outcome)
-                                replay_members(index, run, outcome)
                             if sink is not None:
                                 sink.flush()
-                            if (
-                                config.locality_sort
-                                and chunk_result
-                                and seconds > 0
-                            ):
+                            if chunk_result and seconds > 0:
                                 # Throughput feedback: aim the next chunk
                                 # at ~target_chunk_seconds of work.
                                 rate = len(chunk_result) / seconds
@@ -1493,9 +1345,7 @@ class ScifiCampaign:
                 leftover.extend(reservoir)
                 reservoir.clear()
                 emit("serial_fallback", ts=now(), experiments=len(leftover))
-                pending = deque(leftover)
-                while pending:
-                    index, fault = pending.popleft()
+                for index, fault in leftover:
                     if index in by_index:
                         continue
                     run, outcome = self._run_one_recovered(
@@ -1507,12 +1357,6 @@ class ScifiCampaign:
                         "experiment_finished", **experiment_event(index, run, outcome)
                     )
                     record_result(index, run, outcome)
-                    if run.quarantined:
-                        # No replay from a stand-in result: the class
-                        # members join the serial queue instead.
-                        pending.extend(equivalence_classes.get(index, ()))
-                    else:
-                        replay_members(index, run, outcome)
                 if sink is not None:
                     sink.flush()
         except BaseException:

@@ -51,7 +51,8 @@ from repro.goofi.workqueue import QUEUE_SCHEMA, WorkQueue
 #: provenance value for experiments replayed from an outcome-equivalent
 #: class representative, and ``experiments.representative_index`` (the
 #: representative's plan index; NULL for every other provenance and for
-#: migrated rows);
+#: migrated rows) — collapse is gone and neither is written any more,
+#: but old rows still load, resume and report;
 #: version 6 made the database the campaign-service substrate: the
 #: work-queue tables (``jobs``/``leases``/``job_acks``, see
 #: :mod:`repro.goofi.workqueue`), ``experiments.detected_iteration`` and
@@ -113,8 +114,8 @@ _EXPERIMENT_INSERT = (
     " time, category, mechanism, first_failure_iteration,"
     " max_deviation, early_exit_iteration, timed_out,"
     " instructions_executed, provenance, plan_index,"
-    " representative_index, detected_iteration, detection_latency)"
-    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+    " detected_iteration, detection_latency)"
+    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
 
 
@@ -124,8 +125,6 @@ def _provenance(run) -> str:
         return "quarantined"
     if getattr(run, "predicted", False):
         return "predicted"
-    if getattr(run, "equivalent", False):
-        return "equivalent"
     return "simulated"
 
 
@@ -149,7 +148,6 @@ def _experiment_row(campaign_id: int, plan_index: Optional[int], run, outcome) -
         run.instructions_executed,
         _provenance(run),
         plan_index,
-        getattr(run, "representative_index", None),
         getattr(run, "detected_iteration", None),
         detection_latency,
     )
@@ -518,7 +516,6 @@ class CampaignDatabase:
                     "timed_out": bool(timed_out),
                     "instructions": int(instructions),
                     "pruned": provenance == "predicted",
-                    "equivalent": provenance == "equivalent",
                 }
             )
         return records
@@ -572,8 +569,8 @@ class CampaignDatabase:
         return [(str(m), int(c)) for m, c in cursor.fetchall()]
 
     def provenance_counts(self, campaign_id: int) -> List[Tuple[str, int]]:
-        """Experiment counts per provenance
-        (``simulated``/``predicted``/``equivalent``/``quarantined``)."""
+        """Experiment counts per provenance (``simulated``/``predicted``/
+        ``quarantined``, plus ``equivalent`` in pre-existing rows)."""
         cursor = self._conn.execute(
             "SELECT provenance, COUNT(*) FROM experiments"
             " WHERE campaign_id = ? GROUP BY provenance ORDER BY provenance",

@@ -12,10 +12,6 @@ injection phase, a pruning-validation re-run and a pre-runtime SWIFI
 phase can all reuse the same warm workers, as long as their payloads are
 compatible (:meth:`ReferencePool.prepare` re-initialises the pool only
 when they are not).
-
-Setting ``reference=None`` in the payload restores the legacy behaviour
-— each worker runs its own golden reference during initialisation —
-which the benchmark uses as the shared-reference baseline.
 """
 
 from __future__ import annotations
@@ -38,11 +34,8 @@ class WorkerPayload:
     iterations: int
     watchdog_factor: float
     environment_factory: Callable[[], EngineEnvironment]
-    #: The parent's golden run, or ``None`` to make each worker compute
-    #: its own (the pre-optimisation baseline).
-    reference: Optional[ReferenceRun]
-    fast_dispatch: bool = True
-    incremental_hash: bool = True
+    #: The parent's golden run, adopted by every worker.
+    reference: ReferenceRun
     #: Selects the worker target's snapshot/restore data plane (delta
     #: checkpoints + undo-log cursors vs legacy full copies).  Shipped
     #: explicitly so a golden-equivalence validation comparing the two
@@ -58,11 +51,10 @@ _WORKER_PAYLOAD: Optional[WorkerPayload] = None
 def _initialize_worker(payload: WorkerPayload) -> None:
     """Executor initializer: build this process's target system.
 
-    With a shipped reference the worker only loads the program (the
-    loader also derives the control-flow signature successors the SIG
-    checks need) and adopts the parent's checkpoints; experiments then
-    start from restored snapshots.  Without one it re-runs the golden
-    reference, exactly as the legacy per-chunk workers did.
+    The worker only loads the program (the loader also derives the
+    control-flow signature successors the SIG checks need) and adopts
+    the parent's checkpoints; experiments then start from restored
+    snapshots.
     """
     global _WORKER_TARGET, _WORKER_PAYLOAD
     target = TargetSystem(
@@ -70,16 +62,11 @@ def _initialize_worker(payload: WorkerPayload) -> None:
         environment=payload.environment_factory(),
         iterations=payload.iterations,
         watchdog_factor=payload.watchdog_factor,
-        fast_dispatch=payload.fast_dispatch,
-        incremental_hash=payload.incremental_hash,
         environment_factory=payload.environment_factory,
         delta_dataplane=payload.delta_dataplane,
     )
-    if payload.reference is None:
-        target.run_reference()
-    else:
-        target.cpu.load(payload.workload.program)
-        target.reference = payload.reference
+    target.cpu.load(payload.workload.program)
+    target.reference = payload.reference
     _WORKER_TARGET = target
     _WORKER_PAYLOAD = payload
 
@@ -127,17 +114,11 @@ def _factories_equivalent(a, b) -> bool:
     return "<lambda>" not in fingerprint[1] and "<locals>" not in fingerprint[1]
 
 
-def _references_equivalent(
-    a: Optional[ReferenceRun], b: Optional[ReferenceRun]
-) -> bool:
+def _references_equivalent(a: ReferenceRun, b: ReferenceRun) -> bool:
     """Two golden runs are interchangeable when their observable record
     matches — deterministic runs of the same workload always do, so a
     re-run (e.g. pruning validation) keeps the warm pool."""
-    if a is None or b is None:
-        return a is b
-    if a is b:
-        return True
-    return (
+    return a is b or (
         a.hashes == b.hashes
         and a.instructions_at == b.instructions_at
         and a.outputs == b.outputs
@@ -185,10 +166,6 @@ class ReferencePool:
             current.environment_factory, payload.environment_factory
         ):
             return "environment_factory"
-        if current.fast_dispatch != payload.fast_dispatch:
-            return "fast_dispatch"
-        if current.incremental_hash != payload.incremental_hash:
-            return "incremental_hash"
         if current.delta_dataplane != payload.delta_dataplane:
             return "delta_dataplane"
         if not _references_equivalent(current.reference, payload.reference):

@@ -88,8 +88,6 @@ def _execute_image_fault(
     reference: ReferenceRun,
     fault: ImageFault,
     early_exit: bool = True,
-    fast_dispatch: bool = True,
-    incremental_hash: bool = True,
 ) -> ExperimentRun:
     """Execute one full run with the image mutation in place.
 
@@ -103,8 +101,6 @@ def _execute_image_fault(
         environment=environment_factory(),
         iterations=iterations,
         watchdog_factor=watchdog_factor,
-        fast_dispatch=fast_dispatch,
-        incremental_hash=incremental_hash,
     )
     cpu = target.cpu
     env = target.environment
@@ -170,8 +166,6 @@ def _prerun_chunk(args):
             reference,
             fault,
             early_exit=early_exit,
-            fast_dispatch=payload.fast_dispatch,
-            incremental_hash=payload.incremental_hash,
         )
         outcome = classify_experiment(
             observed=run.outputs,
@@ -193,24 +187,18 @@ class PreRuntimeCampaign:
         environment_factory=EngineEnvironment,
         watchdog_factor: float = 10.0,
         name: str = "pre-runtime SWIFI",
-        fast_dispatch: bool = True,
-        incremental_hash: bool = True,
     ):
         self.workload = workload
         self.iterations = iterations
         self.environment_factory = environment_factory
         self.watchdog_factor = watchdog_factor
         self.name = name
-        self.fast_dispatch = fast_dispatch
-        self.incremental_hash = incremental_hash
         # The golden target provides the reference outputs and hashes.
         self._target = TargetSystem(
             workload,
             environment=environment_factory(),
             iterations=iterations,
             watchdog_factor=watchdog_factor,
-            fast_dispatch=fast_dispatch,
-            incremental_hash=incremental_hash,
         )
         self._reference = self._target.run_reference()
 
@@ -244,8 +232,6 @@ class PreRuntimeCampaign:
             self._reference,
             fault,
             early_exit=early_exit,
-            fast_dispatch=self.fast_dispatch,
-            incremental_hash=self.incremental_hash,
         )
 
     def _payload(self) -> WorkerPayload:
@@ -258,8 +244,6 @@ class PreRuntimeCampaign:
             watchdog_factor=self.watchdog_factor,
             environment_factory=self.environment_factory,
             reference=self._reference,
-            fast_dispatch=self.fast_dispatch,
-            incremental_hash=self.incremental_hash,
         )
 
     def run(

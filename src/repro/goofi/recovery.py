@@ -134,11 +134,11 @@ def config_fingerprint(config) -> Dict[str, object]:
 
     Only fields that change the fault plan or experiment outcomes are
     included: the workload image, fault count, seed, iteration count,
-    partition restriction and watchdog factor.  Flags proven
+    partition restriction and watchdog factor.  Settings proven
     outcome-invariant by the equivalence tests (``early_exit``,
-    ``prune``, ``share_reference``, ``fast_dispatch``,
-    ``incremental_hash``) may differ between the original and the
-    resumed run without affecting bit-identity of the summary.
+    ``prune``, ``batch_size``, ``delta_dataplane``) may differ between
+    the original and the resumed run without affecting bit-identity of
+    the summary.
     """
     return {
         "workload": workload_digest(config.workload),

@@ -83,8 +83,8 @@ def _hash_state(cpu: CPU, environment: EngineEnvironment) -> bytes:
 
 def _hash_state_fresh(cpu: CPU, environment: EngineEnvironment) -> bytes:
     """:func:`_hash_state` rebuilt entirely from the live state, with no
-    cached prefix or packed images — the honest baseline used by the
-    ``incremental_hash=False`` flag and the digest-equivalence test."""
+    cached prefix or packed images — the oracle of the
+    digest-equivalence tests."""
     memory = cpu.memory
     digest = hashlib.blake2b(digest_size=16)
     digest.update(memory.code.pack_fresh())
@@ -159,11 +159,6 @@ class ExperimentRun:
         quarantined: the experiment repeatedly crashed its worker and
             was recorded with a conservative stand-in result instead of
             a simulation (``provenance='quarantined'`` in the database).
-        equivalent: the run was replayed from an outcome-equivalent
-            representative fault (equivalence collapse) instead of
-            being simulated (``provenance='equivalent'``).
-        representative_index: plan index of the representative whose
-            simulated outcome this run replays (``equivalent`` only).
     """
 
     fault: FaultDescriptor
@@ -176,8 +171,6 @@ class ExperimentRun:
     instructions_executed: int = 0
     predicted: bool = False
     quarantined: bool = False
-    equivalent: bool = False
-    representative_index: Optional[int] = None
 
 
 #: Workload variables primed when the run starts at an operating point
@@ -219,8 +212,6 @@ class TargetSystem:
         watchdog_factor: float = 10.0,
         warm_start: bool = True,
         metrics=None,
-        fast_dispatch: bool = True,
-        incremental_hash: bool = True,
         batch_size: int = 1,
         environment_factory: Optional[Callable[[], EngineEnvironment]] = None,
         delta_dataplane: bool = True,
@@ -245,13 +236,6 @@ class TargetSystem:
         self._lane_pool: List[_Lane] = []
         self._lanes_unavailable = False
         self.cpu = CPU()
-        #: ``False`` pins this target's CPU to the legacy decode/execute
-        #: chain (the golden-equivalence baseline).
-        self.cpu.fast_dispatch = fast_dispatch
-        self.incremental_hash = incremental_hash
-        self._hash: Callable[[CPU, EngineEnvironment], bytes] = (
-            _hash_state if incremental_hash else _hash_state_fresh
-        )
         self.scan_chain = ScanChain(self.cpu)
         #: ``False`` pins this target to the classic full-copy
         #: snapshot/restore data plane (the golden-equivalence
@@ -299,7 +283,7 @@ class TargetSystem:
 
     def boundary_hash(self) -> bytes:
         """The full-state digest at the current iteration boundary."""
-        return self._hash(self.cpu, self.environment)
+        return _hash_state(self.cpu, self.environment)
 
     def _warm_start_workload(self) -> None:
         """Prime the controller-state globals to the steady operating point."""
@@ -629,7 +613,6 @@ class TargetSystem:
             return [self.run_experiment(fault, early_exit) for fault in faults]
 
         engine = self.batch_engine
-        hash_state = self._hash
         iterations = self.iterations
         watchdog = int(
             reference.max_iteration_instructions * self.watchdog_factor
@@ -696,7 +679,7 @@ class TargetSystem:
                     outputs.append(env.exchange(cpu.memory.mmio))
                     if (
                         early_exit
-                        and hash_state(cpu, env) == reference.hashes[k + 1]
+                        and _hash_state(cpu, env) == reference.hashes[k + 1]
                     ):
                         if spliced:
                             outputs.splice_tail(k + 1)
@@ -707,7 +690,7 @@ class TargetSystem:
                         done = True
                     elif k + 1 >= iterations:
                         run.final_state_differs = (
-                            hash_state(cpu, env) != reference.hashes[-1]
+                            _hash_state(cpu, env) != reference.hashes[-1]
                         )
                         done = True
                     else:

@@ -92,6 +92,8 @@ EVENT_TYPES = (
     "experiment_quarantined",
     "worker_pool_rebuilt",
     "serial_fallback",
+    # No longer emitted; kept so event logs written before equivalence
+    # collapse was removed still parse.
     "equivalence_collapse",
     "worker_pool_respawned",
     "dataplane_stats",

@@ -196,7 +196,6 @@ def experiment_event(index: int, run, outcome) -> Dict[str, object]:
         "timed_out": run.timed_out,
         "instructions": run.instructions_executed,
         "pruned": getattr(run, "predicted", False),
-        "equivalent": getattr(run, "equivalent", False),
     }
 
 

@@ -82,12 +82,12 @@ class DataCache:
         """Write back the line at ``index`` if it is valid and dirty."""
         recorder = self.recorder
         if recorder is not None:
-            recorder.cache_read(index, "valid", self.valid[index])
+            recorder.cache_read(index, "valid")
             if self.valid[index]:
-                recorder.cache_read(index, "dirty", self.dirty[index])
+                recorder.cache_read(index, "dirty")
                 if self.dirty[index]:
-                    recorder.cache_read(index, "tag", int(self.tags[index]))
-                    recorder.cache_read(index, "data", int(self.data[index]))
+                    recorder.cache_read(index, "tag")
+                    recorder.cache_read(index, "data")
         if self.valid[index] and self.dirty[index]:
             victim_address = line_address(int(self.tags[index]), index)
             self.writebacks += 1
@@ -104,13 +104,13 @@ class DataCache:
         tag = (address >> (OFFSET_BITS + INDEX_BITS)) & ((1 << TAG_BITS) - 1)
         recorder = self.recorder
         if recorder is not None:
-            recorder.cache_read(index, "valid", self.valid[index])
+            recorder.cache_read(index, "valid")
             if self.valid[index]:
-                recorder.cache_read(index, "tag", int(self.tags[index]))
+                recorder.cache_read(index, "tag")
         if self.valid[index] and self.tags[index] == tag:
             self.hits += 1
             if recorder is not None:
-                recorder.cache_read(index, "data", int(self.data[index]))
+                recorder.cache_read(index, "data")
             return self.data[index]
         self.misses += 1
         self._evict(index, memory)
@@ -132,9 +132,9 @@ class DataCache:
         tag = (address >> (OFFSET_BITS + INDEX_BITS)) & ((1 << TAG_BITS) - 1)
         recorder = self.recorder
         if recorder is not None:
-            recorder.cache_read(index, "valid", self.valid[index])
+            recorder.cache_read(index, "valid")
             if self.valid[index]:
-                recorder.cache_read(index, "tag", int(self.tags[index]))
+                recorder.cache_read(index, "tag")
         if not (self.valid[index] and self.tags[index] == tag):
             self.misses += 1
             self._evict(index, memory)

@@ -224,7 +224,7 @@ class CPU:
         if index > SP_INDEX:
             raise_detection(Mechanism.INSTRUCTION_ERROR, f"register field {index}")
         if self.recorder is not None:
-            self.recorder.reg_read(_REG_NAMES[index], value=self.regs[index])
+            self.recorder.reg_read(_REG_NAMES[index])
         return self.regs[index]
 
     def _write_reg(self, index: int, value: int) -> None:
@@ -402,7 +402,7 @@ class CPU:
         assert instruction is not None
         if instruction.opcode in PRIVILEGED_OPCODES:
             if recorder is not None:
-                recorder.reg_read("psw", FLAG_M, self.psw)
+                recorder.reg_read("psw", FLAG_M)
             if not self.supervisor:
                 raise_detection(
                     Mechanism.INSTRUCTION_ERROR,
@@ -470,14 +470,14 @@ class CPU:
             # Stack ops read SP before rewriting it with a derived value;
             # the read alone determines liveness, so it is all we record.
             if recorder is not None:
-                recorder.reg_read("sp", value=self.regs[SP_INDEX])
+                recorder.reg_read("sp")
             sp = (self.regs[SP_INDEX] - WORD) & _U32
             self._check_stack_pointer(sp)
             self._data_write(sp, self._read_reg(instruction.rd))
             self.regs[SP_INDEX] = sp
         elif op is Opcode.POP:
             if recorder is not None:
-                recorder.reg_read("sp", value=self.regs[SP_INDEX])
+                recorder.reg_read("sp")
             sp = self.regs[SP_INDEX]
             self._check_stack_pointer(sp)
             if sp >= self.layout.stack_top:
@@ -545,7 +545,7 @@ class CPU:
                 next_pc = self._jump_target(self.pc + WORD * instruction.simm())
         elif op is Opcode.CALL:
             if recorder is not None:
-                recorder.reg_read("sp", value=self.regs[SP_INDEX])
+                recorder.reg_read("sp")
             sp = (self.regs[SP_INDEX] - WORD) & _U32
             self._check_stack_pointer(sp)
             self._data_write(sp, (self.pc + WORD) & _U32)
@@ -553,7 +553,7 @@ class CPU:
             next_pc = self._jump_target(self.pc + WORD * instruction.simm())
         elif op is Opcode.RET:
             if recorder is not None:
-                recorder.reg_read("sp", value=self.regs[SP_INDEX])
+                recorder.reg_read("sp")
             sp = self.regs[SP_INDEX]
             self._check_stack_pointer(sp)
             if sp >= self.layout.stack_top:
@@ -572,7 +572,7 @@ class CPU:
 
     def _branch_taken(self, op: Opcode) -> bool:
         if self.recorder is not None:
-            self.recorder.reg_read("psw", _FLAG_READ_MASK, self.psw)
+            self.recorder.reg_read("psw", _FLAG_READ_MASK)
         z = bool(self.psw & FLAG_Z)
         n = bool(self.psw & FLAG_N)
         v = bool(self.psw & FLAG_V)

@@ -304,9 +304,7 @@ class MemoryMap:
         for ram in self._region_rams():
             if ram.contains(address):
                 if self.recorder is not None and self.is_cacheable(address):
-                    value = ram.read(address)
-                    self.recorder.mem_read(address, value)
-                    return value
+                    self.recorder.mem_read(address)
                 return ram.read(address)
         self._unmapped(address, "read")
         raise AssertionError("unreachable")

@@ -1,9 +1,10 @@
 """The delta data plane: golden equivalence and view semantics.
 
-Everything here enforces one rule: with ``delta_dataplane`` (and
-``locality_sort``) on, every observable — materialised snapshots,
-restored machine state, experiment outcomes, streamed telemetry — is
-bit-identical to the legacy full-copy plane.
+Everything here enforces one rule: with ``delta_dataplane`` on and live
+faults executed in injection-time order, every observable — materialised
+snapshots, restored machine state, experiment outcomes, streamed
+telemetry — is bit-identical to the legacy full-copy plane run one fault
+at a time in plan order.
 """
 
 from __future__ import annotations
@@ -252,14 +253,14 @@ class TestSplicedOutputs:
 
 
 class TestWorkerPayload:
-    def test_plane_mismatch_forces_respawn(self, algorithm_i_compiled):
+    def test_plane_mismatch_forces_respawn(self, algorithm_i_compiled, planes):
         def payload(delta):
             return WorkerPayload(
                 workload=algorithm_i_compiled,
                 iterations=ITERATIONS,
                 watchdog_factor=10.0,
                 environment_factory=EngineEnvironment,
-                reference=None,
+                reference=planes[0].reference,
                 delta_dataplane=delta,
             )
 
@@ -278,11 +279,25 @@ def _campaign_config(workload, **overrides):
     return CampaignConfig(**defaults)
 
 
+def _plan_order_outcomes(config, result):
+    """The campaign's faults re-simulated one at a time in plan order on
+    a fresh legacy-plane target: no schedule, no windows, no chunks."""
+    target = _target(config.workload, delta=False, iterations=config.iterations)
+    return [
+        ScifiCampaign._classify(
+            target.run_experiment(run.fault), target.reference.outputs
+        )
+        for run in result.experiments
+    ]
+
+
 class TestLocalityScheduling:
     def test_serial_events_stay_in_plan_order(self, algorithm_i_compiled, tmp_path):
+        # More faults than iterations: the serial loop runs several
+        # time-sorted windows and still streams in plan order.
         path = str(tmp_path / "events.jsonl")
         telemetry = Telemetry(events_path=path)
-        config = _campaign_config(algorithm_i_compiled, locality_sort=True)
+        config = _campaign_config(algorithm_i_compiled, faults=90)
         ScifiCampaign(config).run(telemetry=telemetry)
         telemetry.close()
         records = [
@@ -290,32 +305,57 @@ class TestLocalityScheduling:
         ]
         assert [e["index"] for e in records] == list(range(config.faults))
 
+    def test_serial_progress_starts_before_the_last_experiment(
+        self, algorithm_i_compiled, monkeypatch
+    ):
+        """A serial campaign streams each window before simulating the
+        next: with more faults than iterations, the first progress call
+        comes after one ``iterations``-sized window, long before the
+        last experiment."""
+        calls = []
+        original = TargetSystem.run_experiment
+
+        def counting(self, fault, early_exit=True):
+            calls.append("experiment")
+            return original(self, fault, early_exit)
+
+        monkeypatch.setattr(TargetSystem, "run_experiment", counting)
+        config = _campaign_config(algorithm_i_compiled, faults=90)
+        ScifiCampaign(config).run(
+            progress=lambda _done, _total, _outcome: calls.append("progress")
+        )
+        assert calls.count("experiment") == config.faults
+        last_experiment = len(calls) - 1 - calls[::-1].index("experiment")
+        assert calls.index("progress") < last_experiment
+        assert calls.index("progress") == config.iterations
+
     def test_time_sorted_chunks_match_plan_order_results(
         self, algorithm_i_compiled, tmp_path
     ):
-        """The regression ISSUE.md names: chunks are drawn in injection-
-        time order, but results stream back in plan order and match the
-        locality-off campaign exactly — serial and workers=2."""
-        baseline = ScifiCampaign(
-            _campaign_config(algorithm_i_compiled, locality_sort=False)
-        ).run()
+        """Windows (serial) and chunks (workers=2) execute in injection-
+        time order, but results stream back in plan order and match a
+        plain plan-order re-simulation exactly."""
+        config = _campaign_config(algorithm_i_compiled, faults=90)
+        results = {}
         for workers in (1, 2):
             path = str(tmp_path / f"events-{workers}.jsonl")
             telemetry = Telemetry(events_path=path)
-            result = ScifiCampaign(
-                _campaign_config(algorithm_i_compiled, locality_sort=True)
-            ).run(workers=workers, telemetry=telemetry)
-            telemetry.close()
-            assert result.outcomes == baseline.outcomes
-            assert render_outcome_table(result.summary()) == render_outcome_table(
-                baseline.summary()
+            results[workers] = ScifiCampaign(config).run(
+                workers=workers, telemetry=telemetry
             )
+            telemetry.close()
             records = [
                 e
                 for e in read_events(path)
                 if e["event"] == "experiment_finished"
             ]
-            assert [e["index"] for e in records] == list(range(24))
+            assert [e["index"] for e in records] == list(range(config.faults))
+        serial, parallel = results[1], results[2]
+        assert serial.outcomes == _plan_order_outcomes(config, serial)
+        assert parallel.outcomes == serial.outcomes
+        assert render_outcome_table(parallel.summary()) == render_outcome_table(
+            serial.summary()
+        )
 
     def test_adaptive_chunk_bounds(self, algorithm_i_compiled):
         """Tiny chunk bounds still complete the plan correctly (and
@@ -325,14 +365,11 @@ class TestLocalityScheduling:
 
         config = _campaign_config(
             algorithm_i_compiled,
-            locality_sort=True,
             recovery=RecoveryPolicy(
                 min_chunk_size=1, max_chunk_size=2, target_chunk_seconds=0.01
             ),
         )
-        baseline = ScifiCampaign(
-            _campaign_config(algorithm_i_compiled, locality_sort=False)
-        ).run()
+        baseline = ScifiCampaign(_campaign_config(algorithm_i_compiled)).run()
         result = ScifiCampaign(config).run(workers=2)
         assert result.outcomes == baseline.outcomes
 

@@ -1,12 +1,12 @@
 """Golden-equivalence tests for the interpreter fast path.
 
-The optimisations under test — predecoded dispatch tables, incremental
-boundary hashing, and the shared reference run across campaign workers —
-must not change a single observable outcome.  Every test here compares
-the optimised configuration against the corresponding baseline flag
-(``fast_dispatch=False``, ``incremental_hash=False``,
-``share_reference=False``, serial vs. parallel) and requires
-bit-identical hashes, outcomes and summary tables.
+The optimisations under test — the table-driven execution loop,
+incremental boundary hashing, and the shared reference run across
+campaign workers — must not change a single observable outcome.  Every
+test here compares the optimised path against its oracle (the traced
+reference chain, ``cpu.fast_dispatch = False``; the from-scratch digest
+:func:`_hash_state_fresh`; the serial run) and requires bit-identical
+hashes, outcomes and summary tables.
 """
 
 import struct
@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.report import render_outcome_table
 from repro.faults.models import FaultDescriptor, FaultTarget
 from repro.goofi.campaign import CampaignConfig, ScifiCampaign
+import repro.goofi.target as target_module
 from repro.goofi.pool import ReferencePool
 from repro.goofi.prerun import PreRuntimeCampaign
 from repro.goofi.target import TargetSystem, _hash_state, _hash_state_fresh
@@ -34,8 +35,9 @@ def workload():
     return compile_algorithm_ii()
 
 
-def _reference(workload, **kwargs):
-    target = TargetSystem(workload, iterations=ITER, **kwargs)
+def _reference(workload, fast_dispatch=True):
+    target = TargetSystem(workload, iterations=ITER)
+    target.cpu.fast_dispatch = fast_dispatch
     return target, target.run_reference()
 
 
@@ -55,12 +57,11 @@ class TestDispatchEquivalence:
         results = {}
         for fast in (True, False):
             config = CampaignConfig(
-                workload=workload,
-                faults=FAULTS,
-                iterations=ITER,
-                fast_dispatch=fast,
+                workload=workload, faults=FAULTS, iterations=ITER
             )
-            results[fast] = ScifiCampaign(config).run()
+            campaign = ScifiCampaign(config)
+            campaign.target.cpu.fast_dispatch = fast
+            results[fast] = campaign.run()
         assert results[True].outcomes == results[False].outcomes
         for a, b in zip(results[True].experiments, results[False].experiments):
             assert a.outputs == b.outputs
@@ -75,13 +76,12 @@ class TestDispatchEquivalence:
             results[True].summary()
         ) == render_outcome_table(results[False].summary())
 
-    def test_prerun_outcomes_bit_identical(self, workload):
-        runs = {
-            fast: PreRuntimeCampaign(
-                workload, iterations=ITER, fast_dispatch=fast
-            ).run(12)
-            for fast in (True, False)
-        }
+    def test_prerun_outcomes_bit_identical(self, workload, monkeypatch):
+        runs = {True: PreRuntimeCampaign(workload, iterations=ITER).run(12)}
+        # Every experiment builds its own target, so switch the class
+        # default to put all of them on the reference chain.
+        monkeypatch.setattr(CPU, "fast_dispatch", False)
+        runs[False] = PreRuntimeCampaign(workload, iterations=ITER).run(12)
         assert runs[True].outcomes == runs[False].outcomes
         for a, b in zip(runs[True].experiments, runs[False].experiments):
             assert a.outputs == b.outputs
@@ -159,16 +159,13 @@ class TestIncrementalHashEquivalence:
         assert cpu.run(10_000) is StepResult.YIELD
         check("after resumed execution")
 
-    def test_campaign_outcomes_identical_with_flag_off(self, workload):
-        results = {}
-        for incremental in (True, False):
-            config = CampaignConfig(
-                workload=workload,
-                faults=FAULTS,
-                iterations=ITER,
-                incremental_hash=incremental,
-            )
-            results[incremental] = ScifiCampaign(config).run()
+    def test_campaign_outcomes_identical_with_flag_off(
+        self, workload, monkeypatch
+    ):
+        config = CampaignConfig(workload=workload, faults=FAULTS, iterations=ITER)
+        results = {True: ScifiCampaign(config).run()}
+        monkeypatch.setattr(target_module, "_hash_state", _hash_state_fresh)
+        results[False] = ScifiCampaign(config).run()
         assert results[True].outcomes == results[False].outcomes
         for a, b in zip(results[True].experiments, results[False].experiments):
             assert a.early_exit_iteration == b.early_exit_iteration
@@ -177,9 +174,12 @@ class TestIncrementalHashEquivalence:
             results[True].summary()
         ) == render_outcome_table(results[False].summary())
 
-    def test_reference_hashes_identical_with_flag_off(self, workload):
-        _t1, incremental = _reference(workload, incremental_hash=True)
-        _t2, fresh = _reference(workload, incremental_hash=False)
+    def test_reference_hashes_identical_with_flag_off(
+        self, workload, monkeypatch
+    ):
+        _t1, incremental = _reference(workload)
+        monkeypatch.setattr(target_module, "_hash_state", _hash_state_fresh)
+        _t2, fresh = _reference(workload)
         assert incremental.hashes == fresh.hashes
 
 
@@ -188,18 +188,13 @@ class TestSharedReferenceEquivalence:
         config = CampaignConfig(workload=workload, faults=FAULTS, iterations=ITER)
         serial = ScifiCampaign(config).run()
         shared = ScifiCampaign(config).run(workers=2)
-        unshared = ScifiCampaign(
-            CampaignConfig(
-                workload=workload,
-                faults=FAULTS,
-                iterations=ITER,
-                share_reference=False,
-            )
-        ).run(workers=2)
-        assert serial.outcomes == shared.outcomes == unshared.outcomes
-        table = render_outcome_table(serial.summary())
-        assert table == render_outcome_table(shared.summary())
-        assert table == render_outcome_table(unshared.summary())
+        assert serial.outcomes == shared.outcomes
+        assert render_outcome_table(serial.summary()) == render_outcome_table(
+            shared.summary()
+        )
+        for a, b in zip(serial.experiments, shared.experiments):
+            assert list(a.outputs) == list(b.outputs)
+            assert a.instructions_executed == b.instructions_executed
 
     def test_persistent_pool_reused_across_runs(self, workload):
         config = CampaignConfig(workload=workload, faults=20, iterations=ITER)

@@ -256,3 +256,47 @@ def test_two_concurrent_clients_one_service_root(tmp_path, algorithm_i_compiled)
             assert status["campaign"]["done"] == faults
             assert status["campaign"]["total"] == faults
         assert client.queue.outstanding(CAMPAIGN_TOPIC) == 0
+
+
+def test_serial_worker_outlasting_ttl_keeps_its_lease(
+    tmp_path, algorithm_i_compiled, monkeypatch
+):
+    """A serial campaign that runs longer than its lease TTL renews the
+    lease while it runs, so a second worker polling the queue never
+    finds it expired and never runs the job a second time."""
+    from repro.goofi.target import TargetSystem
+
+    original = TargetSystem.run_experiment
+
+    def slow_experiment(self, fault, early_exit=True):
+        time.sleep(0.005)
+        return original(self, fault, early_exit)
+
+    monkeypatch.setattr(TargetSystem, "run_experiment", slow_experiment)
+    ttl = 0.5
+    with _service(tmp_path, heartbeat_every=5) as service:
+        # 300 faults at >= 5 ms each: about three TTLs of injection.
+        campaign_id = service.submit_campaign(
+            _config(algorithm_i_compiled, faults=300, iterations=20)
+        )
+        finished = threading.Event()
+        polled = []
+
+        def poll():
+            with _service(tmp_path) as rival:
+                while not finished.is_set():
+                    polled.append(rival.run_once("rival", ttl=ttl))
+                    time.sleep(0.05)
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            assert service.run_once("w0", ttl=ttl) == "done"
+        finally:
+            finished.set()
+            poller.join(timeout=60)
+        assert not poller.is_alive()
+        state = service.status(campaign_id)["job"]
+        assert state["status"] == "done"
+        assert state["expiries"] == 0
+        assert polled and set(polled) == {None}
