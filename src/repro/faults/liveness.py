@@ -17,6 +17,16 @@ the faulted run up to that read.  Therefore a sampled fault whose bit is
 * **read first** must be simulated (*live*) — only execution can tell
   whether the read turns into a detection, a value failure or nothing.
 
+The same invariant holds from any instant on, for any set of differing
+bits, not only for the flip at the injection instant.  A faulted run that
+is still diverged at iteration boundary ``k`` executes exactly like the
+reference from ``k`` on if every differing bit is overwritten or never
+touched again in the reference trace from ``k`` on (and everything the
+trace does not cover is equal).  :class:`BoundaryLiveness` precomputes
+that verdict for every traced element at every boundary, so
+``TargetSystem`` can stop such a run mid-window and splice in the
+reference's output tail (the dead-divergence exit).
+
 :class:`AccessRecorder` collects the per-element access trace during
 ``TargetSystem.run_reference(record_access=True)`` through no-op-by-
 default hooks in the CPU, the data cache and the memory map.  Accesses
@@ -38,8 +48,13 @@ elements the recorder does not cover at all classify as live.
 from __future__ import annotations
 
 import enum
+import pickle
+import zlib
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.faults.models import FaultDescriptor, FaultTarget
 from repro.thor.cache import LINES
@@ -93,6 +108,12 @@ class Liveness(enum.Enum):
 
 #: One trace entry: (dynamic instruction index, is_write, bit mask).
 AccessEntry = Tuple[int, bool, int]
+
+#: Verdict codes of a :class:`BoundaryLiveness` row, one byte per
+#: boundary: the :class:`Liveness` a flip of the element would get there.
+LIVE_CODE = 0
+OVERWRITTEN_CODE = 1
+LATENT_CODE = 2
 
 
 class AccessRecorder:
@@ -247,9 +268,128 @@ class LivenessMap:
                 combined = Liveness.LATENT
         return combined
 
+    def boundary_table(self, boundaries: Sequence[int]) -> "BoundaryLiveness":
+        """:meth:`classify` of every traced element at every instant of
+        ``boundaries`` (ascending), as one verdict byte per instant.
+
+        Full-mask elements get one row; elements written or read through
+        a partial mask (the PSW) get one row per bit any access covers.
+        The traces hold ~0.7 M entries on Algorithm I, so every pass
+        over one runs in C: a ``searchsorted`` per element, then one
+        entry lookup per boundary.  Only the register hooks take a mask,
+        so only register traces are scanned for partial ones.
+        """
+        bounds = np.asarray(boundaries, dtype=np.int64)
+        rows: Dict[TraceKey, bytes] = {}
+        bit_rows: Dict[TraceKey, Dict[int, bytes]] = {}
+        for key, trace in self._traces.items():
+            masks = (
+                set(map(_MASK, trace))
+                if key[0] == REGISTER_PARTITION
+                else {FULL_MASK}
+            )
+            if masks == {FULL_MASK}:
+                rows[key] = _verdict_row(self._times[key], trace, bounds)
+                continue
+            covered = 0
+            for mask in masks:
+                covered |= mask
+            per_bit: Dict[int, bytes] = {}
+            for bit in range(covered.bit_length()):
+                flag = 1 << bit
+                if covered & flag:
+                    entries = [e for e in trace if e[2] & flag]
+                    per_bit[bit] = _verdict_row(
+                        [e[0] for e in entries], entries, bounds
+                    )
+            bit_rows[key] = per_bit
+        return BoundaryLiveness(rows, bit_rows, self._memory_ranges)
+
     def trace(self, target: FaultTarget) -> List[AccessEntry]:
         """The recorded access trace of one element (for diagnostics)."""
         trace_key = _target_trace_key(target)
         if trace_key is None:
             return []
         return list(self._traces.get(trace_key, ()))
+
+
+_MASK = itemgetter(2)
+_IS_WRITE = itemgetter(1)
+#: Stands past a trace's end; its "is_write" field is the latent code.
+_END_OF_TRACE = (0, LATENT_CODE, FULL_MASK)
+
+
+def _verdict_row(
+    times: List[int], trace: List[AccessEntry], bounds: "np.ndarray"
+) -> bytes:
+    """One verdict byte per boundary: the kind of the first access at or
+    after it (every entry of ``trace`` covers the bit), or latent."""
+    first = np.searchsorted(
+        np.fromiter(times, dtype=np.int64, count=len(times)), bounds
+    ).tolist()
+    # is_write is a bool: True/False are OVERWRITTEN_CODE/LIVE_CODE.
+    padded = trace + [_END_OF_TRACE]
+    return bytes(map(_IS_WRITE, map(padded.__getitem__, first)))
+
+
+class BoundaryLiveness:
+    """Per-boundary liveness verdicts of the reference run's elements.
+
+    Built once by :meth:`LivenessMap.boundary_table` and carried on the
+    :class:`~repro.goofi.target.ReferenceRun`, so pool workers receive it
+    with the reference they already adopt.  ``verdict`` answers
+    :meth:`LivenessMap.classify_fault`'s question for a set of differing
+    bits of one element at one boundary.
+    """
+
+    def __init__(
+        self,
+        rows: Dict[TraceKey, bytes],
+        bit_rows: Dict[TraceKey, Dict[int, bytes]],
+        memory_ranges: Tuple[Tuple[int, int], ...],
+    ):
+        #: Full-mask elements: one verdict byte per boundary.
+        self.rows = rows
+        #: Partial-mask elements: one row per bit some access covers.
+        self.bit_rows = bit_rows
+        self.memory_ranges = memory_ranges
+
+    # Rows are long runs of three byte values, so zlib shrinks the table
+    # (~128 KB on Algorithm I) to ~2 KB on its way to pool workers.
+    def __getstate__(self) -> bytes:
+        return zlib.compress(
+            pickle.dumps((self.rows, self.bit_rows, self.memory_ranges))
+        )
+
+    def __setstate__(self, blob: bytes) -> None:
+        self.rows, self.bit_rows, self.memory_ranges = pickle.loads(
+            zlib.decompress(blob)
+        )
+
+    def verdict(self, key: TraceKey, diff: int, boundary: int) -> int:
+        """Combined verdict code of the bits set in ``diff`` of element
+        ``key`` at ``boundary``: live if any bit is, else latent if any
+        bit is, else overwritten (the multi-bit rule of
+        :meth:`LivenessMap.classify_fault`).  Covered but never-traced
+        elements are latent; memory words outside the recorded ranges
+        are live."""
+        if key[0] == MEMORY_PARTITION and not any(
+            base <= key[1] < end for base, end in self.memory_ranges  # type: ignore[operator]
+        ):
+            return LIVE_CODE
+        row = self.rows.get(key)
+        if row is not None:
+            return row[boundary]
+        per_bit = self.bit_rows.get(key)
+        if per_bit is None:
+            return LATENT_CODE
+        combined = OVERWRITTEN_CODE
+        for bit in range(diff.bit_length()):
+            if diff >> bit & 1:
+                row = per_bit.get(bit)
+                code = LATENT_CODE if row is None else row[boundary]
+                if code == LIVE_CODE:
+                    return LIVE_CODE
+                if code == LATENT_CODE:
+                    combined = LATENT_CODE
+        return combined

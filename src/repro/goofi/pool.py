@@ -117,11 +117,15 @@ def _factories_equivalent(a, b) -> bool:
 def _references_equivalent(a: ReferenceRun, b: ReferenceRun) -> bool:
     """Two golden runs are interchangeable when their observable record
     matches — deterministic runs of the same workload always do, so a
-    re-run (e.g. pruning validation) keeps the warm pool."""
+    re-run keeps the warm pool — and both or neither carry the liveness
+    table.  Workers run the dead-divergence exit exactly when their
+    adopted reference has one, so a plain campaign never inherits it
+    from a pruned one's workers, nor a pruned campaign loses it."""
     return a is b or (
         a.hashes == b.hashes
         and a.instructions_at == b.instructions_at
         and a.outputs == b.outputs
+        and (a.boundary_liveness is None) == (b.boundary_liveness is None)
     )
 
 

@@ -189,9 +189,10 @@ def _warm_up(config, workers: int, pool) -> None:
     importing numpy into each worker.  When ``validate_pruning`` timed
     its first leg cold and its second leg warm, those costs were
     silently billed to whichever leg ran first.  This warm-up pays them
-    on a tiny plan (same workload, iterations and watchdog — so the
-    pool payload stays compatible and the timed legs reuse the warm
-    workers without a respawn) and its wall time is discarded.
+    on a tiny plan (same workload, iterations and watchdog) and its wall
+    time is discarded.  With a pool, each timed leg re-forks its workers
+    once, because the pruned leg's reference carries the liveness table
+    and the plain legs' do not: the two legs pay the same small fork.
     """
     from repro.goofi.campaign import ScifiCampaign
 
@@ -227,8 +228,9 @@ def validate_pruning(config, workers: int = 1) -> ValidationReport:
     candidate_config = replace(config, prune=True)
     baseline_config = replace(config, prune=False, batch_size=1)
     if workers > 1:
-        # Both runs share one warm worker pool: the golden runs are
-        # value-identical, so neither campaign respawns workers.
+        # Both runs share one pool.  Their golden runs are
+        # value-identical, but only the pruned leg's carries the
+        # liveness table, so each leg re-forks the workers once.
         with ReferencePool(workers) as pool:
             _warm_up(candidate_config, workers, pool)
             candidate = ScifiCampaign(candidate_config).run(pool=pool)

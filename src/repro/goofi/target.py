@@ -15,8 +15,14 @@ yield.  It provides
 
 Early exit: when the faulted run's full state hash equals the reference
 hash at the same boundary, every subsequent instruction is determined to
-be identical, so the reference output suffix is spliced in.  A test
-verifies that disabling this optimisation yields identical outcomes.
+be identical, so the reference output suffix is spliced in.  When the
+reference was recorded with liveness, a run that is still diverged is
+also probed at 1, 2, 4, 8, ... iterations after the injection: if none
+of its differing bits is read again in the reference trace from that
+boundary on (:class:`~repro.faults.liveness.BoundaryLiveness`), its
+future is the reference's too, and it stops there with the final-state
+verdict the surviving bits imply (the dead-divergence exit).  Tests
+verify that disabling early exit yields identical outcomes.
 """
 
 from __future__ import annotations
@@ -28,7 +34,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import CampaignError
-from repro.faults.liveness import AccessRecorder, LivenessMap
+from repro.faults.liveness import (
+    FULL_MASK,
+    LATENT_CODE,
+    LIVE_CODE,
+    CACHE_PARTITION,
+    MEMORY_PARTITION,
+    REGISTER_PARTITION,
+    AccessRecorder,
+    BoundaryLiveness,
+    LivenessMap,
+)
 from repro.faults.models import FaultDescriptor
 from repro.goofi.dataplane import (
     CheckpointStore,
@@ -40,8 +56,10 @@ from repro.goofi.environment import EngineEnvironment
 from repro.tcc.codegen import CompiledProgram
 from repro.obs.metrics import DETECTION_LATENCY_BUCKETS, INSTRUCTIONS_BUCKETS
 from repro.plant.engine import EngineModel
-from repro.thor.cpu import CPU, BatchEngine, StepResult
+from repro.thor.cache import LINES
+from repro.thor.cpu import CPU, PSW_MASK, BatchEngine, StepResult
 from repro.thor.edm import DetectionEvent, add_detection_listener
+from repro.thor.isa import NUM_GPRS
 from repro.thor.scanchain import ScanChain
 
 
@@ -117,6 +135,9 @@ class ReferenceRun:
         total_instructions: instruction count of the whole run.
         max_iteration_instructions: the longest iteration, used to size
             the experiment watchdog.
+        boundary_liveness: the def/use verdict of every traced element
+            at every boundary, for the dead-divergence exit; recorded by
+            ``run_reference(record_access=True)``, ``None`` otherwise.
     """
 
     outputs: List[float]
@@ -125,6 +146,7 @@ class ReferenceRun:
     instructions_at: List[int]
     total_instructions: int
     max_iteration_instructions: int
+    boundary_liveness: Optional[BoundaryLiveness] = None
 
     def locate(self, instruction_time: int) -> int:
         """Boundary index whose iteration contains ``instruction_time``."""
@@ -150,8 +172,10 @@ class ExperimentRun:
         detection: the hardware detection that terminated the run, if any.
         detected_iteration: iteration during which the detection fired.
         final_state_differs: final state differs from the reference's.
-        early_exit_iteration: boundary at which the state re-converged to
-            the reference (None if it never did).
+        early_exit_iteration: boundary where simulation stopped and the
+            reference output tail was spliced in — the state re-converged
+            to the reference hash there, or every bit still differing is
+            provably never read again (None if the run went to the end).
         timed_out: the workload stopped yielding and the watchdog expired.
         instructions_executed: dynamic instructions actually simulated.
         predicted: the run was synthesised from the reference by the
@@ -171,6 +195,147 @@ class ExperimentRun:
     instructions_executed: int = 0
     predicted: bool = False
     quarantined: bool = False
+
+
+#: Trace keys of the register file (r0..r7, sp), the PSW/MAR/MDR latches
+#: and the cache line fields, in the order the probe below diffs them.
+_REG_KEYS = tuple((REGISTER_PARTITION, f"r{i}") for i in range(NUM_GPRS)) + (
+    (REGISTER_PARTITION, "sp"),
+)
+_PSW_KEY = (REGISTER_PARTITION, "psw")
+_MAR_KEY = (REGISTER_PARTITION, "mar")
+_MDR_KEY = (REGISTER_PARTITION, "mdr")
+_CACHE_FIELDS = tuple(
+    (array, tuple((CACHE_PARTITION, f"line{line}.{element}") for line in range(LINES)))
+    for array, element in (
+        ("data", "data"),
+        ("tags", "tag"),
+        ("valid", "valid"),
+        ("dirty", "dirty"),
+    )
+)
+#: RAM regions whose words the recording reference run traces.
+_TRACED_RAMS = ("rodata", "data", "stack")
+
+
+def _dead_divergence(
+    cpu: CPU,
+    environment: EngineEnvironment,
+    reference: ReferenceRun,
+    boundary: int,
+) -> Optional[bool]:
+    """Whether a diverged run's future is provably the reference's.
+
+    Diffs the machine at iteration boundary ``boundary`` against the
+    reference snapshot there and looks every differing bit up in
+    :attr:`ReferenceRun.boundary_liveness`.  This is def/use pruning's
+    invariant applied at ``boundary`` to the whole diff set: while no
+    differing bit is read, the run executes the reference's instructions
+    with the reference's values, so an overwrite erases its bit and an
+    untouched bit survives to the end.
+
+    Returns ``None`` when the run must keep simulating — something the
+    access trace does not cover differs (code, MMIO, environment, pc,
+    ir, signature latch, halt flag; ``ALWAYS_LIVE`` and the untraced
+    regions), or some differing bit is live.  Otherwise returns the
+    run's final-state verdict: ``True`` when some differing bit is
+    latent, ``False`` when every one is overwritten.  A parity-only
+    difference counts as a difference in its word.
+    """
+    table = reference.boundary_liveness
+    snapshot = reference.snapshots[boundary]
+    ref = snapshot["cpu"]
+    memory = cpu.memory
+    ref_memory = ref["memory"]
+    if (
+        cpu.pc != ref["pc"]
+        or cpu.ir != ref["ir"]
+        or cpu.last_signature != ref["last_signature"]
+        or cpu.halted != ref["halted"]
+        or memory.mmio.registers != ref_memory["mmio"]
+        or memory.code.packed() != ref_memory["code"]
+        # repr tells -0.0 from 0.0, which == does not.
+        or repr(environment.snapshot()) != repr(snapshot["env"])
+    ):
+        return None
+
+    diffs: List[tuple] = []
+    for key, value, ref_value in zip(_REG_KEYS, cpu.regs, ref["regs"]):
+        if value != ref_value:
+            diffs.append((key, value ^ ref_value))
+    psw_diff = cpu.psw ^ ref["psw"]
+    if psw_diff & ~PSW_MASK:
+        return None
+    if psw_diff:
+        diffs.append((_PSW_KEY, psw_diff))
+    if cpu.mar != ref["mar"]:
+        diffs.append((_MAR_KEY, cpu.mar ^ ref["mar"]))
+    if cpu.mdr != ref["mdr"]:
+        diffs.append((_MDR_KEY, cpu.mdr ^ ref["mdr"]))
+    cache = cpu.cache
+    ref_cache = ref["cache"]
+    for array, keys in _CACHE_FIELDS:
+        values = getattr(cache, array)
+        ref_values = ref_cache[array]
+        if values != ref_values:
+            for key, value, ref_value in zip(keys, values, ref_values):
+                if value != ref_value:
+                    diffs.append((key, value ^ ref_value))
+    for name in _TRACED_RAMS:
+        ram = getattr(memory, name)
+        ref_packed = ref_memory[name]
+        if ram.packed() == ref_packed:
+            continue
+        ref_words = ram._struct.unpack(ref_packed[0])
+        ref_parity = ref_packed[1]
+        for i, (word, ref_word) in enumerate(zip(ram.words, ref_words)):
+            if word != ref_word or ram.parity[i] != ref_parity[i]:
+                diffs.append(
+                    (
+                        (MEMORY_PARTITION, ram.base + 4 * i),
+                        (word ^ ref_word) or FULL_MASK,
+                    )
+                )
+
+    latent = False
+    for key, diff in diffs:
+        code = table.verdict(key, diff, boundary)
+        if code == LIVE_CODE:
+            return None
+        if code == LATENT_CODE:
+            latent = True
+    return latent
+
+
+def _exit_verdict(
+    digest: bytes,
+    cpu: CPU,
+    environment: EngineEnvironment,
+    reference: ReferenceRun,
+    boundary: int,
+    injected_at: int,
+) -> Optional[bool]:
+    """The early-exit check at one boundary of a faulted run whose state
+    hashes to ``digest`` there.
+
+    ``None``: keep simulating.  Otherwise the run stops here with the
+    reference output tail spliced in, and the returned value is its
+    ``final_state_differs``.  The hash is compared every time; the
+    dead-divergence probe runs only when the reference carries a
+    liveness table, at 1, 2, 4, 8, ... iterations after the injection
+    iteration and before the last boundary — at most ten probes in a
+    650-iteration window.
+    """
+    if digest == reference.hashes[boundary]:
+        return False
+    distance = boundary - injected_at
+    if (
+        reference.boundary_liveness is None
+        or distance & (distance - 1)
+        or boundary >= len(reference.outputs)
+    ):
+        return None
+    return _dead_divergence(cpu, environment, reference, boundary)
 
 
 #: Workload variables primed when the run starts at an operating point
@@ -304,8 +469,10 @@ class TargetSystem:
         def/use access trace of every injectable state element (plus the
         tracked data-space memory words) through the CPU/cache/memory
         recorder hooks, and freezes it into :attr:`liveness` for the
-        campaign's fault pruning.  Recording changes nothing about the
-        reference itself — the hooks only observe.
+        campaign's fault pruning, and into the reference's
+        :attr:`~ReferenceRun.boundary_liveness` table for the
+        dead-divergence exit.  Recording changes nothing about the
+        reference's execution — the hooks only observe.
         """
         cpu = self.cpu
         env = self.environment
@@ -366,10 +533,12 @@ class TargetSystem:
             cpu.recorder = None
             cpu.cache.recorder = None
             cpu.memory.recorder = None
+        boundary_liveness: Optional[BoundaryLiveness] = None
         if recorder is not None:
             self.liveness = LivenessMap.from_recorder(
                 recorder, cpu.instruction_index
             )
+            boundary_liveness = self.liveness.boundary_table(instructions_at)
         self.reference = ReferenceRun(
             outputs=outputs,
             hashes=hashes,
@@ -379,6 +548,7 @@ class TargetSystem:
             instructions_at=instructions_at,
             total_instructions=cpu.instruction_index,
             max_iteration_instructions=max_iteration,
+            boundary_liveness=boundary_liveness,
         )
         return self.reference
 
@@ -532,13 +702,20 @@ class TargetSystem:
                 run.final_state_differs = True
                 return run
             outputs.append(env.exchange(cpu.memory.mmio))
-            if early_exit and self.boundary_hash() == reference.hashes[k + 1]:
+            verdict = (
+                _exit_verdict(
+                    self.boundary_hash(), cpu, env, reference, k + 1, start_iteration
+                )
+                if early_exit
+                else None
+            )
+            if verdict is not None:
                 if spliced:
                     outputs.splice_tail(k + 1)
                 else:
                     outputs.extend(reference.outputs[k + 1 :])
                 run.early_exit_iteration = k + 1
-                run.final_state_differs = False
+                run.final_state_differs = verdict
                 return run
         run.final_state_differs = self.boundary_hash() != reference.hashes[-1]
         return run
@@ -620,9 +797,10 @@ class TargetSystem:
         results: List[Optional[ExperimentRun]] = [None] * len(faults)
         free = list(lanes)
         next_index = 0
-        # Active slots: [lane, result_index, run, outputs, k] per
-        # in-flight experiment, stepped round-robin one iteration at a
-        # time so the lanes share the dispatch loop's warm state.
+        # Active slots: [lane, result_index, run, outputs, k,
+        # start_iteration] per in-flight experiment, stepped round-robin
+        # one iteration at a time so the lanes share the dispatch loop's
+        # warm state.
         active: List[List[object]] = []
 
         spliced = self.delta_dataplane
@@ -648,7 +826,7 @@ class TargetSystem:
                 else list(reference.outputs[:start_iteration])
             )
             run = ExperimentRun(fault=fault, outputs=outputs)
-            return [lane, index, run, outputs, start_iteration]
+            return [lane, index, run, outputs, start_iteration, start_iteration]
 
         while active or next_index < len(faults):
             while free and next_index < len(faults):
@@ -677,16 +855,20 @@ class TargetSystem:
                     done = True
                 else:
                     outputs.append(env.exchange(cpu.memory.mmio))
-                    if (
-                        early_exit
-                        and _hash_state(cpu, env) == reference.hashes[k + 1]
-                    ):
+                    verdict = (
+                        _exit_verdict(
+                            _hash_state(cpu, env), cpu, env, reference, k + 1, slot[5]
+                        )
+                        if early_exit
+                        else None
+                    )
+                    if verdict is not None:
                         if spliced:
                             outputs.splice_tail(k + 1)
                         else:
                             outputs.extend(reference.outputs[k + 1 :])
                         run.early_exit_iteration = k + 1
-                        run.final_state_differs = False
+                        run.final_state_differs = verdict
                         done = True
                     elif k + 1 >= iterations:
                         run.final_state_differs = (

@@ -10,9 +10,12 @@ by a campaign are
   timestamp): plan ``index``, fault target (partition/element/bit),
   ``injection_time``, outcome ``category``, detecting ``mechanism``,
   ``detected_iteration``, ``detection_latency`` (instructions from
-  injection to the detection event), ``early_exit_iteration``,
-  ``timed_out``, ``instructions`` executed and ``pruned`` (the outcome
-  was predicted by def/use pruning instead of simulated).  Because the
+  injection to the detection event), ``early_exit_iteration`` (the
+  boundary where simulation stopped and the reference output tail was
+  spliced in: the state hash re-converged, or every differing bit is
+  provably never read again), ``timed_out``, ``instructions`` executed
+  and ``pruned`` (the outcome was predicted by def/use pruning instead
+  of simulated).  Because the
   payload is a pure function of the experiment, serial and parallel
   campaigns produce identical records;
 * ``worker_chunk_done`` — a worker process finished its plan slice;

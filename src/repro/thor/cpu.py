@@ -650,6 +650,9 @@ class CPU:
         # mutated in place, so they need no write-back; scalars are
         # synced at every exit below.  Nothing inside the loop can attach
         # a recorder or trace hook, so the check above holds throughout.
+        # Prefetches go through a temporary (``word``): a fetch that
+        # detects leaves ``ir`` holding the executed word, as the
+        # reference chain does.
         regs = self.regs
         pc = self.pc
         psw = self.psw
@@ -766,9 +769,10 @@ class CPU:
                             )
                         index += 1
                         pc = target
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
+                        word = fc_get(pc, -1)
+                        if word < 0:
+                            word = fetch(pc)
+                        ir = word
                         continue
                 elif op == _OP_BCLR:
                     if not psw & entry[1]:
@@ -780,9 +784,10 @@ class CPU:
                             )
                         index += 1
                         pc = target
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
+                        word = fc_get(pc, -1)
+                        if word < 0:
+                            word = fetch(pc)
+                        ir = word
                         continue
                 elif op == _OP_FMUL or op == _OP_FADD or op == _OP_FSUB:
                     a = unpack_f(pack_i(regs[entry[2]]))[0]
@@ -810,9 +815,10 @@ class CPU:
                         )
                     index += 1
                     pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
+                    word = fc_get(pc, -1)
+                    if word < 0:
+                        word = fetch(pc)
+                    ir = word
                     continue
                 elif op == _OP_SIG:
                     sig = entry[1]
@@ -945,9 +951,10 @@ class CPU:
                         )
                     index += 1
                     pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
+                    word = fc_get(pc, -1)
+                    if word < 0:
+                        word = fetch(pc)
+                    ir = word
                     continue
                 elif op == _OP_RET:
                     sp = regs[_SP]
@@ -975,9 +982,10 @@ class CPU:
                         )
                     index += 1
                     pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
+                    word = fc_get(pc, -1)
+                    if word < 0:
+                        word = fetch(pc)
+                    ir = word
                     continue
                 elif op == _OP_LDI or op == _OP_LUI:
                     regs[entry[1]] = entry[2]
@@ -1058,17 +1066,19 @@ class CPU:
                         )
                     index += 1
                     pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
+                    word = fc_get(pc, -1)
+                    if word < 0:
+                        word = fetch(pc)
+                    ir = word
                     continue
                 elif op == _OP_SVC:
                     self.last_svc = entry[1]
                     index += 1
                     pc = (pc + WORD) & _U32
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
+                    word = fc_get(pc, -1)
+                    if word < 0:
+                        word = fetch(pc)
+                    ir = word
                     self.pc = pc
                     self.psw = psw
                     self.ir = ir
@@ -1104,9 +1114,10 @@ class CPU:
                     continue
                 index += 1
                 pc = (pc + WORD) & _U32
-                ir = fc_get(pc, -1)
-                if ir < 0:
-                    ir = fetch(pc)
+                word = fc_get(pc, -1)
+                if word < 0:
+                    word = fetch(pc)
+                ir = word
         except HardwareDetection as event:
             self.pc = pc
             self.psw = psw

@@ -392,3 +392,36 @@ class TestTableLoopMatchesReferenceChain:
         assert _observed(fast, fast.run(1)) == _observed(
             reference, reference.run(1)
         )
+
+    def test_detecting_prefetch_keeps_the_executed_word(self):
+        """The last code word (pc 0x17fc, a NOP) executes, and the
+        prefetch of the next word — rodata at 0x1800, stored bit flipped
+        without a parity update — raises DATA ERROR.  Both loops must
+        leave the executed word in ``ir`` (the table loop once stored its
+        ``-1`` miss sentinel there, which ``register_state_bytes`` cannot
+        pack)."""
+        nop = 0x01000000
+        last = _LAYOUT.code_base + _LAYOUT.code_size - WORD
+        assert last == 0x17FC and _LAYOUT.rodata_base == 0x1800
+        spec = {
+            "word": nop,
+            "pc": last,
+            "regs": [0] * 8 + [_LAYOUT.stack_top],
+            "psw": 0,
+            "mar": 0,
+            "mdr": 0,
+            "lines": [(False, False, 0, 0)] * 32,
+            "ram": [("rodata", 0, 0x12345678, 3)],
+            "successors": {},
+            "last_signature": None,
+            "undo": False,
+        }
+        fast = _machine(spec, fast=True)
+        reference = _machine(spec, fast=False)
+        fast_result = fast.run(1)
+        reference_result = reference.run(1)
+        assert fast_result is StepResult.DETECTED
+        assert fast.ir == reference.ir == nop
+        assert _observed(fast, fast_result) == _observed(
+            reference, reference_result
+        )
