@@ -16,18 +16,23 @@ strike).  The outcome mixes differ characteristically:
 
 from _common import bench_faults, emit, run_cached_campaign
 
-from repro.goofi import PreRuntimeCampaign
+from repro.faults.models import CODE_PARTITION, DATA_PARTITION
+from repro.goofi import CampaignConfig, ScifiCampaign
 from repro.workloads import compile_algorithm_i
 
 ITERATIONS = 300
 
 
 def _run_all():
-    faults = min(max(bench_faults() // 4, 60), 250)
-    prerun = PreRuntimeCampaign(
-        compile_algorithm_i(), iterations=ITERATIONS, name="pre-runtime SWIFI"
+    config = CampaignConfig(
+        workload=compile_algorithm_i(),
+        name="pre-runtime SWIFI",
+        faults=min(max(bench_faults() // 4, 60), 250),
+        seed=17,
+        iterations=ITERATIONS,
+        partitions=[CODE_PARTITION, DATA_PARTITION],
     )
-    image = prerun.run(faults=faults, seed=17)
+    image = ScifiCampaign(config).run()
     scifi = run_cached_campaign("I")
     return image.summary(), scifi.summary()
 

@@ -11,17 +11,23 @@ DATA ERROR.  No silent wrong results.
 from _common import bench_faults, emit
 
 from repro.analysis import OutcomeCategory
-from repro.goofi import TargetSystem, run_memory_campaign
+from repro.faults.models import MEMORY_PARTITION
+from repro.goofi import CampaignConfig, ScifiCampaign
 from repro.workloads import compile_algorithm_i
 
 ITERATIONS = 300
 
 
 def _run():
-    target = TargetSystem(compile_algorithm_i(), iterations=ITERATIONS)
-    target.run_reference()
-    count = max(bench_faults(), 300)
-    return run_memory_campaign(target, faults=count, seed=29).summary()
+    config = CampaignConfig(
+        workload=compile_algorithm_i(),
+        name="memory faults",
+        faults=max(bench_faults(), 300),
+        seed=29,
+        iterations=ITERATIONS,
+        partitions=[MEMORY_PARTITION],
+    )
+    return ScifiCampaign(config).run().summary()
 
 
 def test_memory_faults(benchmark):

@@ -53,7 +53,12 @@ from repro.errors import (
     ObservabilityError,
     ServiceError,
 )
-from repro.faults.models import FaultDescriptor, FaultTarget
+from repro.faults.models import (
+    CACHE_PARTITION,
+    REGISTER_PARTITION,
+    FaultDescriptor,
+    FaultTarget,
+)
 from repro.goofi import (
     CampaignConfig,
     CampaignDatabase,
@@ -61,6 +66,7 @@ from repro.goofi import (
     TargetSystem,
     trace_propagation,
 )
+from repro.goofi.campaign import fault_model
 from repro.obs import (
     CampaignFollower,
     CampaignStatusReducer,
@@ -79,7 +85,6 @@ from repro.obs import (
 )
 from repro.plant import ClosedLoop, SAMPLE_TIME, paper_load_profile
 from repro.thor.disassembler import disassemble_program
-from repro.thor.scanchain import CACHE_PARTITION, REGISTER_PARTITION
 from repro.workloads import compile_algorithm_i, compile_algorithm_ii
 
 
@@ -103,18 +108,22 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         chaos = ChaosSpec.from_json(
             args.chaos, tempfile.mkdtemp(prefix="repro-chaos-")
         )
-    return CampaignConfig(
-        workload=workload,
-        name=name,
-        faults=args.faults,
-        seed=args.seed,
-        iterations=args.iterations,
-        partitions=args.partitions,
-        prune=args.prune,
-        batch_size=args.batch_size,
-        delta_dataplane=args.delta_dataplane,
-        chaos=chaos,
-    )
+    try:
+        fault_model(args.partitions)
+        return CampaignConfig(
+            workload=workload,
+            name=name,
+            faults=args.faults,
+            seed=args.seed,
+            iterations=args.iterations,
+            partitions=args.partitions,
+            prune=args.prune,
+            batch_size=args.batch_size,
+            delta_dataplane=args.delta_dataplane,
+            chaos=chaos,
+        )
+    except CampaignError as exc:
+        raise SystemExit(str(exc))
 
 
 #: ``CampaignAborted.reason`` → process exit status.  Only operator
@@ -643,7 +652,17 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2001)
     parser.add_argument("--iterations", type=int, default=650)
-    parser.add_argument("--partitions", nargs="*", default=None)
+    parser.add_argument(
+        "--partitions",
+        nargs="*",
+        default=None,
+        metavar="NAME",
+        help="fault model and injection partitions: scan-chain 'cache' "
+        "and/or 'registers' (default: both); 'memory' for stored-RAM "
+        "bit flips at iteration boundaries; 'code-image' (optionally "
+        "with 'data-image') for pre-runtime program-image faults.  One "
+        "campaign uses one fault model",
+    )
     parser.add_argument(
         "--prune",
         action=argparse.BooleanOptionalAction,
@@ -686,7 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    campaign = sub.add_parser("campaign", help="run one SCIFI campaign")
+    campaign = sub.add_parser(
+        "campaign", help="run one fault-injection campaign (SCIFI by default)"
+    )
     _add_config_arguments(campaign)
     campaign.add_argument("--database", default=None)
     campaign.add_argument(

@@ -56,14 +56,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.faults.models import FaultDescriptor, FaultTarget
+from repro.faults.models import (
+    CACHE_PARTITION,
+    MEMORY_PARTITION,
+    REGISTER_PARTITION,
+    FaultDescriptor,
+    FaultTarget,
+)
 from repro.thor.cache import LINES
-
-#: Partition names, matching :mod:`repro.thor.scanchain` and
-#: :mod:`repro.goofi.memfault`.
-REGISTER_PARTITION = "registers"
-CACHE_PARTITION = "cache"
-MEMORY_PARTITION = "memory"
 
 #: Mask covering every bit of a full-word element.
 FULL_MASK = 0xFFFFFFFF

@@ -15,6 +15,16 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Partition names.  ``cache`` and ``registers`` are the scan chain's
+#: (the per-partition columns of Tables 2 and 3); ``memory`` holds the
+#: stored RAM words of the memory fault model, ``code-image`` and
+#: ``data-image`` the program-image words of pre-runtime SWIFI.
+CACHE_PARTITION = "cache"
+REGISTER_PARTITION = "registers"
+MEMORY_PARTITION = "memory"
+CODE_PARTITION = "code-image"
+DATA_PARTITION = "data-image"
+
 
 @dataclass(frozen=True)
 class FaultTarget:

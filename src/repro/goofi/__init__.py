@@ -3,15 +3,18 @@
 The tool runs campaigns in the paper's four phases:
 
 1. **configuration** — choose the fault-injection technique and target:
-   :class:`ScifiCampaign` (scan-chain injection into the simulated CPU)
-   or :func:`repro.goofi.swifi.run_model_campaign` (model-level software
-   injection into Python controllers);
+   :class:`ScifiCampaign` (injection into the simulated CPU — scan-chain
+   state by default, stored RAM words with ``partitions=["memory"]``, or
+   the pre-runtime program image with ``partitions=["code-image",
+   "data-image"]``) or :func:`repro.goofi.swifi.run_model_campaign`
+   (model-level software injection into Python controllers);
 2. **set-up** — choose fault locations, fault model, injection times and
    the number of faults (uniform sampling, seeded);
 3. **fault injection** — reference execution first, then one experiment
    per fault: restore the pre-fault checkpoint, replay to the injection
-   instruction, flip the bit through the scan chain, and run to the
-   termination condition (detection, 650 iterations, or watchdog);
+   instruction, apply the fault (a scan-chain flip, a RAM bit flip or an
+   image-word mutation), and run to the termination condition
+   (detection, 650 iterations, or watchdog);
 4. **analysis** — §4.1 classification and Tables 2–4 style summaries,
    optionally persisted to a SQLite database.
 """
@@ -21,18 +24,8 @@ from repro.goofi.database import CampaignDatabase
 from repro.goofi.detail import PropagationReport, trace_propagation
 from repro.goofi.environment import EngineEnvironment
 from repro.goofi.lockstep import LockstepTarget
-from repro.goofi.memfault import (
-    MemoryFault,
-    run_memory_campaign,
-    run_memory_experiment,
-    sample_memory_faults,
-)
-from repro.goofi.prerun import (
-    ImageFault,
-    PreRuntimeCampaign,
-    PreRuntimeResult,
-    sample_image_faults,
-)
+from repro.goofi.memfault import memory_fault, sample_memory_faults
+from repro.goofi.prerun import image_fault, sample_image_faults
 from repro.goofi.pruning import (
     PrunedPlan,
     ValidationReport,
@@ -67,13 +60,9 @@ __all__ = [
     "PropagationReport",
     "trace_propagation",
     "LockstepTarget",
-    "MemoryFault",
-    "run_memory_campaign",
-    "run_memory_experiment",
+    "memory_fault",
     "sample_memory_faults",
-    "ImageFault",
-    "PreRuntimeCampaign",
-    "PreRuntimeResult",
+    "image_fault",
     "sample_image_faults",
     "PrunedPlan",
     "ValidationReport",

@@ -1,8 +1,12 @@
 """Campaign orchestration: configuration, set-up, injection, analysis.
 
-:class:`ScifiCampaign` drives a full scan-chain fault-injection campaign
-against the simulated CPU, following the paper's §3.3 flow and producing
-a Tables 2/3-ready :class:`~repro.analysis.report.CampaignSummary`.
+:class:`ScifiCampaign` drives a full fault-injection campaign against
+the simulated CPU, following the paper's §3.3 flow and producing a
+Tables 2/3-ready :class:`~repro.analysis.report.CampaignSummary`.  The
+configured partitions pick the fault model — scan-chain flips (SCIFI),
+stored-RAM flips or pre-runtime image faults — and only the set-up's
+plan sampler depends on it: every model runs through the same
+injection, persistence, recovery and telemetry path.
 
 Campaign execution is crash-safe end to end (``docs/robustness.md``):
 classified outcomes stream into the database as chunks finish, failed
@@ -37,10 +41,21 @@ import numpy as np
 from repro.analysis.classify import Outcome, classify_experiment
 from repro.analysis.report import CampaignSummary, ClassifiedExperiment
 from repro.errors import AbortRequested, CampaignAborted, CampaignError
-from repro.faults.models import FaultDescriptor, LocationSpace, sample_fault_plan
+from repro.faults.models import (
+    CACHE_PARTITION,
+    CODE_PARTITION,
+    DATA_PARTITION,
+    MEMORY_PARTITION,
+    REGISTER_PARTITION,
+    FaultDescriptor,
+    LocationSpace,
+    sample_fault_plan,
+)
 from repro.goofi.database import CampaignDatabase
 from repro.goofi.environment import EngineEnvironment
+from repro.goofi.memfault import memory_words, sample_memory_faults
 from repro.goofi.pool import ReferencePool, WorkerPayload, worker_target
+from repro.goofi.prerun import image_words, sample_image_faults
 from repro.goofi.pruning import preclassify_pairs, synthesize_run
 from repro.goofi.recovery import (
     ChaosSpec,
@@ -52,7 +67,7 @@ from repro.goofi.recovery import (
     config_fingerprint,
     quarantined_run,
 )
-from repro.goofi.target import ExperimentRun, TargetSystem
+from repro.goofi.target import ExperimentRun, ReferenceRun, TargetSystem
 from repro.goofi.workqueue import LeasedJob, WorkQueue
 from repro.obs.events import EventLog, merge_event_shards, now
 from repro.obs.metrics import MetricsRegistry
@@ -79,8 +94,12 @@ class CampaignConfig:
         faults: number of fault-injection experiments.
         seed: RNG seed for the uniform location/time sampling.
         iterations: loop iterations per experiment (paper: 650).
-        partitions: restrict injection to these scan-chain partitions
-            (default: all — ``cache`` and ``registers``).
+        partitions: the fault model and where it injects.  Scan-chain
+            partitions (default: all — ``cache`` and ``registers``);
+            ``["memory"]`` for stored-RAM bit flips at iteration
+            boundaries; or ``["code-image"]`` / ``["code-image",
+            "data-image"]`` for pre-runtime program-image faults.  One
+            list never mixes fault models.
         watchdog_factor: experiment watchdog as a multiple of the longest
             fault-free iteration.
         early_exit: enable the provably-safe early termination when the
@@ -131,6 +150,42 @@ class CampaignConfig:
             raise CampaignError("iterations must be positive")
         if self.batch_size <= 0:
             raise CampaignError("batch_size must be positive")
+
+
+#: The fault model each partition name belongs to.
+_FAULT_MODELS = {
+    CACHE_PARTITION: "scan-chain",
+    REGISTER_PARTITION: "scan-chain",
+    MEMORY_PARTITION: "memory",
+    CODE_PARTITION: "image",
+    DATA_PARTITION: "image",
+}
+
+
+def fault_model(partitions: Optional[List[str]]) -> str:
+    """The one fault model a ``partitions`` list names: ``"scan-chain"``,
+    ``"memory"`` or ``"image"``.  A :class:`CampaignError` for unknown
+    names, mixed models, or data-image faults without code-image ones
+    (the image sampler always draws code words).  A campaign checks this
+    before its reference run; the CLI checks it before building one."""
+    if not partitions:
+        return "scan-chain"
+    unknown = [name for name in partitions if name not in _FAULT_MODELS]
+    if unknown:
+        raise CampaignError(
+            f"unknown partition(s) {unknown!r}; choose from "
+            f"{sorted(_FAULT_MODELS)}"
+        )
+    models = {_FAULT_MODELS[name] for name in partitions}
+    if len(models) > 1:
+        raise CampaignError(
+            f"partitions {list(partitions)!r} mix fault models "
+            f"({', '.join(sorted(models))}); run one campaign per model"
+        )
+    model = models.pop()
+    if model == "image" and CODE_PARTITION not in partitions:
+        raise CampaignError("image faults need code-image (data-image is optional)")
+    return model
 
 
 @dataclass
@@ -280,7 +335,9 @@ def _run_chunk(args):
 
 
 class ScifiCampaign:
-    """A scan-chain implemented fault-injection campaign (§3.3.1 SCIFI)."""
+    """A fault-injection campaign (§3.3.1): scan-chain implemented
+    (SCIFI) by default, or memory/pre-runtime image faults when the
+    configured partitions say so."""
 
     def __init__(
         self,
@@ -304,17 +361,41 @@ class ScifiCampaign:
         self._campaign_id: Optional[int] = None
         self._workers: int = 1
 
-    def location_space(self) -> LocationSpace:
-        """The injectable locations after partition restriction."""
+    def _sample_plan(
+        self, model: str, reference: ReferenceRun
+    ) -> Tuple[List[FaultDescriptor], Dict[str, int]]:
+        """The seeded fault plan and the injectable bits per partition,
+        drawn by the sampler of fault model ``model``."""
+        config = self.config
+        rng = np.random.default_rng(config.seed)
+        if model == "memory":
+            plan = sample_memory_faults(self.target, config.faults, rng)
+            words = memory_words(self.target.cpu.layout)
+            return plan, {MEMORY_PARTITION: 32 * len(words)}
+        if model == "image":
+            include_data = DATA_PARTITION in config.partitions
+            plan = sample_image_faults(
+                config.workload, config.faults, rng, include_data
+            )
+            sizes: Dict[str, int] = {}
+            for partition, _address in image_words(config.workload, include_data):
+                sizes[partition] = sizes.get(partition, 0) + 32
+            return plan, sizes
         space = self.target.scan_chain.location_space()
-        if self.config.partitions:
-            targets = [t for t in space if t.partition in self.config.partitions]
-            if not targets:
-                raise CampaignError(
-                    f"no targets in partitions {self.config.partitions!r}"
-                )
-            space = LocationSpace(targets)
-        return space
+        if config.partitions:
+            space = LocationSpace(
+                [t for t in space if t.partition in config.partitions]
+            )
+        plan = sample_fault_plan(
+            space=space,
+            total_instructions=reference.total_instructions,
+            count=config.faults,
+            rng=rng,
+        )
+        return plan, {
+            partition: space.partition_size(partition)
+            for partition in space.partitions
+        }
 
     def run(
         self,
@@ -537,6 +618,7 @@ class ScifiCampaign:
         resume_from: Optional[int],
     ) -> CampaignResult:
         config = self.config
+        model = fault_model(config.partitions)
         with span("campaign"):
             with span("reference_run"):
                 reference = self.target.run_reference(record_access=config.prune)
@@ -552,18 +634,7 @@ class ScifiCampaign:
                         len(pickle.dumps(reference))
                     )
             with span("set_up"):
-                space = self.location_space()
-                rng = np.random.default_rng(config.seed)
-                plan = sample_fault_plan(
-                    space=space,
-                    total_instructions=reference.total_instructions,
-                    count=config.faults,
-                    rng=rng,
-                )
-                partition_sizes = {
-                    partition: space.partition_size(partition)
-                    for partition in space.partitions
-                }
+                plan, partition_sizes = self._sample_plan(model, reference)
 
             # Open (or reopen) the campaign row; completed experiments of
             # a resumed campaign are reloaded and never re-simulated.

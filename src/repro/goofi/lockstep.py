@@ -23,7 +23,12 @@ from typing import List, Optional
 from repro.errors import CampaignError
 from repro.faults.models import FaultDescriptor
 from repro.goofi.environment import EngineEnvironment
-from repro.goofi.target import ExperimentRun, ReferenceRun, TargetSystem
+from repro.goofi.target import (
+    ExperimentRun,
+    ReferenceRun,
+    TargetSystem,
+    hold_last_output,
+)
 from repro.tcc.codegen import CompiledProgram
 from repro.thor.cpu import CPU, StepResult
 from repro.thor.edm import DetectionEvent, Mechanism
@@ -95,20 +100,12 @@ class LockstepTarget:
 
         outputs: List[float] = list(reference.outputs[:start_iteration])
         run = ExperimentRun(fault=fault, outputs=outputs)
-        watchdog = (
-            int(reference.max_iteration_instructions * self.inner.watchdog_factor)
-            + 500
-        )
+        watchdog = self.inner.watchdog_budget()
         for k in range(start_iteration, self.inner.iterations):
             result = self._run_pair_until_yield(master, watchdog, run, k)
             if result is not StepResult.YIELD:
-                if run.detection is not None:
-                    return run
-                run.timed_out = True
-                held = outputs[-1] if outputs else env.initial_throttle()
-                while len(outputs) < self.inner.iterations:
-                    outputs.append(held)
-                run.final_state_differs = True
+                if run.detection is None:
+                    hold_last_output(run, env, self.inner.iterations)
                 return run
             outputs.append(env.exchange(master.memory.mmio))
             # Mirror the exchanged inputs into the slave's MMIO.

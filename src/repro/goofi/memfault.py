@@ -1,10 +1,18 @@
 """Memory fault injection: bit-flips in stored RAM words.
 
-The CPU campaigns flip *processor* state; this injector flips bits in
+The CPU campaigns flip *processor* state; this fault model flips bits in
 main-memory words mid-run without updating the stored parity — the
 fault the DATA ERROR mechanism ("uncorrectable error in data read from
 memory") exists for.  It completes the fault-model inventory: every
 Table 1 mechanism now has a campaign-grade injection path.
+
+A memory fault is a :class:`~repro.faults.models.FaultDescriptor` in
+the ``memory`` partition, applied at an iteration boundary: its element
+is the word address, its time the boundary's instruction count.  A
+campaign with ``partitions=["memory"]`` samples them with
+:func:`sample_memory_faults`, and ``TargetSystem.run_experiment`` seats
+the boundary and flips the stored bit, so memory campaigns run through
+the same loop, pool, persistence and pruning as scan-chain ones.
 
 Outcomes split three ways:
 
@@ -16,157 +24,59 @@ Outcomes split three ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from repro.analysis.classify import Outcome, classify_experiment
-from repro.analysis.report import CampaignSummary, ClassifiedExperiment
 from repro.errors import CampaignError
-from repro.faults.models import FaultDescriptor, FaultTarget
-from repro.goofi.target import ExperimentRun, TargetSystem
-from repro.thor.cpu import StepResult
-from repro.thor.memory import WORD
-
-#: Partition label for RAM faults.
-MEMORY_PARTITION = "memory"
+from repro.faults.models import MEMORY_PARTITION, FaultDescriptor, FaultTarget
+from repro.goofi.target import ReferenceRun, TargetSystem
+from repro.thor.memory import WORD, MemoryLayout
 
 
-@dataclass(frozen=True)
-class MemoryFault:
-    """One stored-RAM bit flipped at an iteration boundary.
-
-    Attributes:
-        address: word address in data or stack RAM.
-        bit: bit position within the word.
-        iteration: boundary before which the flip is applied.
-    """
-
-    address: int
-    bit: int
-    iteration: int
-
-    def label(self) -> str:
-        """Human-readable description."""
-        return f"memory@{self.address:#x}[{self.bit}]@iter={self.iteration}"
-
-
-def sample_memory_faults(
-    target: TargetSystem,
-    count: int,
-    rng: np.random.Generator,
-) -> List[MemoryFault]:
-    """Uniformly sample RAM faults over data+stack words and iterations."""
-    if count <= 0:
-        raise CampaignError("count must be positive")
-    layout = target.cpu.layout
+def memory_words(layout: MemoryLayout) -> List[int]:
+    """Every injectable word address: data RAM, then stack RAM."""
     words: List[int] = []
     for base, size in (
         (layout.data_base, layout.data_size),
         (layout.stack_base, layout.stack_size),
     ):
         words.extend(range(base, base + size, WORD))
+    return words
+
+
+def memory_fault(
+    reference: ReferenceRun, address: int, bit: int, iteration: int
+) -> FaultDescriptor:
+    """The fault that flips stored bit ``bit`` of the RAM word at
+    ``address`` just before iteration ``iteration`` of ``reference``."""
+    if not 0 <= iteration < len(reference.outputs):
+        raise CampaignError("fault iteration outside the run")
+    return FaultDescriptor(
+        FaultTarget(MEMORY_PARTITION, f"{address:#x}", bit),
+        reference.instructions_at[iteration],
+    )
+
+
+def sample_memory_faults(
+    target: TargetSystem,
+    count: int,
+    rng: np.random.Generator,
+) -> List[FaultDescriptor]:
+    """Uniformly sample RAM faults over data+stack words and iterations
+    of ``target``'s reference run."""
+    if count <= 0:
+        raise CampaignError("count must be positive")
+    reference = target.reference
+    if reference is None:
+        raise CampaignError("run_reference() must come first")
+    words = memory_words(target.cpu.layout)
     return [
-        MemoryFault(
+        memory_fault(
+            reference,
             address=int(words[int(rng.integers(0, len(words)))]),
             bit=int(rng.integers(0, 32)),
             iteration=int(rng.integers(0, target.iterations)),
         )
         for _ in range(count)
     ]
-
-
-def run_memory_experiment(
-    target: TargetSystem, fault: MemoryFault
-) -> ExperimentRun:
-    """Inject one RAM fault at an iteration boundary and run to the end."""
-    reference = target.reference
-    if reference is None:
-        raise CampaignError("run_reference() must come first")
-    if not 0 <= fault.iteration < target.iterations:
-        raise CampaignError("fault iteration outside the run")
-    target.restore_boundary(fault.iteration)
-    target.cpu.memory.corrupt_word_bit(fault.address, fault.bit)
-
-    descriptor = FaultDescriptor(
-        FaultTarget(MEMORY_PARTITION, f"{fault.address:#x}", fault.bit),
-        reference.instructions_at[fault.iteration],
-    )
-    outputs: List[float] = list(reference.outputs[: fault.iteration])
-    run = ExperimentRun(fault=descriptor, outputs=outputs)
-    cpu = target.cpu
-    env = target.environment
-    watchdog = (
-        int(reference.max_iteration_instructions * target.watchdog_factor) + 500
-    )
-    for k in range(fault.iteration, target.iterations):
-        result = cpu.run(watchdog)
-        run.instructions_executed = cpu.instruction_index
-        if result is StepResult.DETECTED:
-            run.detection = cpu.detection
-            run.detected_iteration = k
-            return run
-        if result is not StepResult.YIELD:
-            run.timed_out = True
-            held = outputs[-1] if outputs else env.initial_throttle()
-            while len(outputs) < target.iterations:
-                outputs.append(held)
-            run.final_state_differs = True
-            return run
-        outputs.append(env.exchange(cpu.memory.mmio))
-        if target.boundary_hash() == reference.hashes[k + 1]:
-            outputs.extend(reference.outputs[k + 1 :])
-            run.early_exit_iteration = k + 1
-            run.final_state_differs = False
-            return run
-    run.final_state_differs = target.boundary_hash() != reference.hashes[-1]
-    return run
-
-
-def run_memory_campaign(
-    target: TargetSystem,
-    faults: int,
-    seed: int = 2001,
-    name: str = "memory faults",
-) -> "MemoryCampaignResult":
-    """A complete RAM-fault campaign against a prepared target."""
-    if target.reference is None:
-        target.run_reference()
-    rng = np.random.default_rng(seed)
-    plan = sample_memory_faults(target, faults, rng)
-    experiments: List[ExperimentRun] = []
-    outcomes: List[Outcome] = []
-    for fault in plan:
-        run = run_memory_experiment(target, fault)
-        outcomes.append(
-            classify_experiment(
-                observed=run.outputs,
-                reference=target.reference.outputs,
-                detected_by=(
-                    run.detection.mechanism.value if run.detection else None
-                ),
-                final_state_differs=run.final_state_differs,
-            )
-        )
-        experiments.append(run)
-    return MemoryCampaignResult(
-        name=name, experiments=experiments, outcomes=outcomes
-    )
-
-
-@dataclass
-class MemoryCampaignResult:
-    """All experiments of a RAM-fault campaign."""
-
-    name: str
-    experiments: List[ExperimentRun]
-    outcomes: List[Outcome]
-
-    def summary(self) -> CampaignSummary:
-        """Aggregate into a table-ready summary."""
-        records = [
-            ClassifiedExperiment(partition=MEMORY_PARTITION, outcome=outcome)
-            for outcome in self.outcomes
-        ]
-        return CampaignSummary(records, partition_sizes={}, name=self.name)

@@ -7,11 +7,11 @@ workers.  :class:`ReferencePool` instead computes the
 :class:`~repro.goofi.target.ReferenceRun` once in the parent and ships
 its snapshots/hashes/outputs to each worker process through the executor
 *initializer*, so the payload is pickled once per process rather than
-once per task.  The pool is deliberately long-lived: the SCIFI
-injection phase, a pruning-validation re-run and a pre-runtime SWIFI
-phase can all reuse the same warm workers, as long as their payloads are
-compatible (:meth:`ReferencePool.prepare` re-initialises the pool only
-when they are not).
+once per task.  The pool is deliberately long-lived: campaigns of any
+fault model (scan-chain, memory, pre-runtime image) and a
+pruning-validation re-run can all reuse the same warm workers, as long
+as their payloads are compatible (:meth:`ReferencePool.prepare`
+re-initialises the pool only when they are not).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class WorkerPayload:
 
 #: Per-process state, populated by :func:`_initialize_worker`.
 _WORKER_TARGET: Optional[TargetSystem] = None
-_WORKER_PAYLOAD: Optional[WorkerPayload] = None
 
 
 def _initialize_worker(payload: WorkerPayload) -> None:
@@ -56,7 +55,7 @@ def _initialize_worker(payload: WorkerPayload) -> None:
     the parent's checkpoints; experiments then start from restored
     snapshots.
     """
-    global _WORKER_TARGET, _WORKER_PAYLOAD
+    global _WORKER_TARGET
     target = TargetSystem(
         workload=payload.workload,
         environment=payload.environment_factory(),
@@ -68,7 +67,6 @@ def _initialize_worker(payload: WorkerPayload) -> None:
     target.cpu.load(payload.workload.program)
     target.reference = payload.reference
     _WORKER_TARGET = target
-    _WORKER_PAYLOAD = payload
 
 
 def worker_target() -> TargetSystem:
@@ -76,13 +74,6 @@ def worker_target() -> TargetSystem:
     if _WORKER_TARGET is None:
         raise CampaignError("not inside an initialised pool worker")
     return _WORKER_TARGET
-
-
-def worker_payload() -> WorkerPayload:
-    """The calling worker process's initialisation payload."""
-    if _WORKER_PAYLOAD is None:
-        raise CampaignError("not inside an initialised pool worker")
-    return _WORKER_PAYLOAD
 
 
 def _factories_equivalent(a, b) -> bool:

@@ -10,8 +10,10 @@ yield.  It provides
   boundary, a state hash per boundary and the dynamic instruction count
   (used to map sampled injection times to boundaries);
 * :meth:`run_experiment` — one fault-injection experiment: restore the
-  boundary checkpoint, replay to the injection instruction, flip the bit
-  through the scan chain, then run to the termination condition.
+  boundary checkpoint, replay to the injection instruction, apply the
+  fault (a scan-chain bit flip, a stored-RAM bit flip or a program-image
+  mutation, by the fault's partition), then run to the termination
+  condition.  Every fault model runs through this one loop.
 
 Early exit: when the faulted run's full state hash equals the reference
 hash at the same boundary, every subsequent instruction is determined to
@@ -38,14 +40,18 @@ from repro.faults.liveness import (
     FULL_MASK,
     LATENT_CODE,
     LIVE_CODE,
-    CACHE_PARTITION,
-    MEMORY_PARTITION,
-    REGISTER_PARTITION,
     AccessRecorder,
     BoundaryLiveness,
     LivenessMap,
 )
-from repro.faults.models import FaultDescriptor
+from repro.faults.models import (
+    CACHE_PARTITION,
+    CODE_PARTITION,
+    DATA_PARTITION,
+    MEMORY_PARTITION,
+    REGISTER_PARTITION,
+    FaultDescriptor,
+)
 from repro.goofi.dataplane import (
     CheckpointStore,
     DeltaRecorder,
@@ -338,6 +344,44 @@ def _exit_verdict(
     return _dead_divergence(cpu, environment, reference, boundary)
 
 
+def _inject(cpu: CPU, scan_chain: ScanChain, fault: FaultDescriptor) -> None:
+    """Apply ``fault`` to the seated machine, by each target's partition.
+
+    Scan-chain bits are flipped through the chain.  A ``memory`` target
+    flips the stored RAM bit without updating its parity, so the next
+    checked read raises DATA ERROR.  An image target (``code-image`` or
+    ``data-image``, seated at boundary 0) rewrites the word with fresh
+    parity, as a corrupted load image would hold it, and refetches the
+    prefetched instruction in case the word is the one at ``pc``.
+    """
+    for target in fault.targets:
+        partition = target.partition
+        if partition == MEMORY_PARTITION:
+            cpu.memory.corrupt_word_bit(int(target.element, 16), target.bit)
+        elif partition == CODE_PARTITION or partition == DATA_PARTITION:
+            memory = cpu.memory
+            address = int(target.element, 16)
+            memory.poke(address, memory.peek(address) ^ (1 << target.bit))
+            cpu.ir = memory.fetch_word(cpu.pc)
+        else:
+            scan_chain.flip(target)
+
+
+def hold_last_output(
+    run: ExperimentRun, environment: EngineEnvironment, iterations: int
+) -> None:
+    """End ``run`` as timed out: the workload stopped delivering outputs
+    (it halted, or an iteration overran the watchdog budget), so the
+    actuator holds its last command until the ``iterations`` window
+    ends, and the final state counts as different."""
+    outputs = run.outputs
+    run.timed_out = True
+    held = outputs[-1] if outputs else environment.initial_throttle()
+    while len(outputs) < iterations:
+        outputs.append(held)
+    run.final_state_differs = True
+
+
 #: Workload variables primed when the run starts at an operating point
 #: (Figure 3 begins already tracking 2000 rpm).  Actuator-valued state
 #: (the integral part and its backups) is set to the steady throttle;
@@ -566,9 +610,8 @@ class TargetSystem:
         """Seat the primary machine at reference boundary ``boundary``.
 
         The supported entry point for snapshot consumers (detail replay,
-        lockstep, memory-fault experiments): with the delta data plane
-        it costs O(touched state) between consecutive calls, without it
-        a legacy full restore.
+        lockstep): with the delta data plane it costs O(touched state)
+        between consecutive calls, without it a legacy full restore.
         """
         reference = self.reference
         if reference is None:
@@ -621,6 +664,15 @@ class TargetSystem:
         }
 
     # -- one experiment -----------------------------------------------------------
+    def watchdog_budget(self) -> int:
+        """Instructions one iteration of a faulted run may execute before
+        it counts as timed out: ``watchdog_factor`` times the reference's
+        longest iteration, plus a fixed margin."""
+        return (
+            int(self.reference.max_iteration_instructions * self.watchdog_factor)
+            + 500
+        )
+
     def run_experiment(
         self, fault: FaultDescriptor, early_exit: bool = True
     ) -> ExperimentRun:
@@ -668,10 +720,7 @@ class TargetSystem:
                     f"detection during fault-free replay: {cpu.detection}"
                 )
 
-        # Inject: read the chain, invert the bit(s), write it back.
-        # Multi-bit fault models expose several targets at one instant.
-        for target in fault.targets:
-            self.scan_chain.flip(target)
+        _inject(cpu, self.scan_chain, fault)
 
         outputs: List[float] = (
             SplicedOutputs(reference.outputs, start_iteration)
@@ -679,9 +728,7 @@ class TargetSystem:
             else list(reference.outputs[:start_iteration])
         )
         spliced = self.delta_dataplane
-        watchdog = int(
-            reference.max_iteration_instructions * self.watchdog_factor
-        ) + 500
+        watchdog = self.watchdog_budget()
         run = ExperimentRun(fault=fault, outputs=outputs)
 
         for k in range(start_iteration, self.iterations):
@@ -692,14 +739,8 @@ class TargetSystem:
                 run.detected_iteration = k
                 return run
             if result is not StepResult.YIELD:
-                # HALTED, or OK with the watchdog budget exhausted: the
-                # workload stopped delivering outputs.  The actuator
-                # holds its last command for the rest of the window.
-                run.timed_out = True
-                held = outputs[-1] if outputs else env.initial_throttle()
-                while len(outputs) < self.iterations:
-                    outputs.append(held)
-                run.final_state_differs = True
+                # HALTED, or OK with the watchdog budget exhausted.
+                hold_last_output(run, env, self.iterations)
                 return run
             outputs.append(env.exchange(cpu.memory.mmio))
             verdict = (
@@ -791,9 +832,7 @@ class TargetSystem:
 
         engine = self.batch_engine
         iterations = self.iterations
-        watchdog = int(
-            reference.max_iteration_instructions * self.watchdog_factor
-        ) + 500
+        watchdog = self.watchdog_budget()
         results: List[Optional[ExperimentRun]] = [None] * len(faults)
         free = list(lanes)
         next_index = 0
@@ -818,8 +857,7 @@ class TargetSystem:
                     raise CampaignError(
                         f"detection during fault-free replay: {lane.cpu.detection}"
                     )
-            for target in fault.targets:
-                lane.scan_chain.flip(target)
+            _inject(lane.cpu, lane.scan_chain, fault)
             outputs: List[float] = (
                 SplicedOutputs(reference.outputs, start_iteration)
                 if spliced
@@ -847,11 +885,7 @@ class TargetSystem:
                     run.detected_iteration = k
                     done = True
                 elif result is not StepResult.YIELD:
-                    run.timed_out = True
-                    held = outputs[-1] if outputs else env.initial_throttle()
-                    while len(outputs) < iterations:
-                        outputs.append(held)
-                    run.final_state_differs = True
+                    hold_last_output(run, env, iterations)
                     done = True
                 else:
                     outputs.append(env.exchange(cpu.memory.mmio))

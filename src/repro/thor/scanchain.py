@@ -19,13 +19,15 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ScanChainError
-from repro.faults.models import FaultTarget, LocationSpace
+from repro.faults.models import (
+    CACHE_PARTITION,
+    REGISTER_PARTITION,
+    FaultTarget,
+    LocationSpace,
+)
 from repro.thor.cache import LINES, TAG_BITS
 from repro.thor.cpu import CPU, PSW_BITS
 from repro.thor.isa import NUM_GPRS, SP_INDEX
-
-CACHE_PARTITION = "cache"
-REGISTER_PARTITION = "registers"
 
 _Getter = Callable[[CPU], int]
 _Setter = Callable[[CPU, int], None]

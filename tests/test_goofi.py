@@ -226,8 +226,44 @@ class TestScifiCampaign:
         config = CampaignConfig(
             workload=algorithm_i_compiled, faults=10, partitions=["rom"]
         )
-        with pytest.raises(CampaignError):
+        with pytest.raises(CampaignError, match="unknown partition"):
             ScifiCampaign(config).run()
+
+    @pytest.mark.parametrize(
+        "partitions, message",
+        [
+            (["cache", "memory"], "mix fault models"),
+            (["registers", "code-image"], "mix fault models"),
+            (["memory", "data-image"], "mix fault models"),
+            (["data-image"], "need code-image"),
+        ],
+    )
+    def test_partitions_name_one_fault_model(
+        self, algorithm_i_compiled, partitions, message, monkeypatch
+    ):
+        config = CampaignConfig(
+            workload=algorithm_i_compiled, faults=10, partitions=partitions
+        )
+        campaign = ScifiCampaign(config)
+
+        def no_reference_run(*_args, **_kwargs):
+            raise AssertionError("refused only after the reference run")
+
+        monkeypatch.setattr(campaign.target, "run_reference", no_reference_run)
+        with pytest.raises(CampaignError, match=message):
+            campaign.run()
+
+    def test_cli_rejects_bad_partitions_cleanly(self, tmp_path):
+        from repro.cli import main
+
+        bad = ["--partitions", "cache", "memory"]
+        with pytest.raises(SystemExit, match="mix fault models"):
+            main(["campaign"] + bad)
+        # A submission is refused before anything is queued.
+        root = tmp_path / "service"
+        with pytest.raises(SystemExit, match="mix fault models"):
+            main(["submit", "--root", str(root)] + bad)
+        assert not root.exists()
 
     def test_progress_callback_invoked(self, algorithm_i_compiled):
         calls = []

@@ -14,11 +14,15 @@ import struct
 import pytest
 
 from repro.analysis.report import render_outcome_table
-from repro.faults.models import FaultDescriptor, FaultTarget
+from repro.faults.models import (
+    CODE_PARTITION,
+    DATA_PARTITION,
+    FaultDescriptor,
+    FaultTarget,
+)
 from repro.goofi.campaign import CampaignConfig, ScifiCampaign
 import repro.goofi.target as target_module
 from repro.goofi.pool import ReferencePool
-from repro.goofi.prerun import PreRuntimeCampaign
 from repro.goofi.target import TargetSystem, _hash_state, _hash_state_fresh
 from repro.obs.metrics import MetricsRegistry
 from repro.thor.cpu import CPU, PSW_MASK, StepResult
@@ -33,6 +37,16 @@ FAULTS = 40
 @pytest.fixture(scope="module")
 def workload():
     return compile_algorithm_ii()
+
+
+def _image_config(workload, faults):
+    """A pre-runtime (program-image) campaign over code and data words."""
+    return CampaignConfig(
+        workload=workload,
+        faults=faults,
+        iterations=ITER,
+        partitions=[CODE_PARTITION, DATA_PARTITION],
+    )
 
 
 def _reference(workload, fast_dispatch=True):
@@ -76,15 +90,15 @@ class TestDispatchEquivalence:
             results[True].summary()
         ) == render_outcome_table(results[False].summary())
 
-    def test_prerun_outcomes_bit_identical(self, workload, monkeypatch):
-        runs = {True: PreRuntimeCampaign(workload, iterations=ITER).run(12)}
-        # Every experiment builds its own target, so switch the class
-        # default to put all of them on the reference chain.
-        monkeypatch.setattr(CPU, "fast_dispatch", False)
-        runs[False] = PreRuntimeCampaign(workload, iterations=ITER).run(12)
+    def test_prerun_outcomes_bit_identical(self, workload):
+        runs = {}
+        for fast in (True, False):
+            campaign = ScifiCampaign(_image_config(workload, 12))
+            campaign.target.cpu.fast_dispatch = fast
+            runs[fast] = campaign.run()
         assert runs[True].outcomes == runs[False].outcomes
         for a, b in zip(runs[True].experiments, runs[False].experiments):
-            assert a.outputs == b.outputs
+            assert list(a.outputs) == list(b.outputs)
 
 
 class TestPrefixReplay:
@@ -209,22 +223,25 @@ class TestSharedReferenceEquivalence:
 
     def test_pool_reused_across_scifi_and_prerun_phases(self, workload):
         config = CampaignConfig(workload=workload, faults=20, iterations=ITER)
-        prerun = PreRuntimeCampaign(workload, iterations=ITER)
+        prerun = _image_config(workload, 10)
         serial_scifi = ScifiCampaign(config).run()
-        serial_pre = prerun.run(10)
+        serial_pre = ScifiCampaign(prerun).run()
         with ReferencePool(2) as pool:
             pooled_scifi = ScifiCampaign(config).run(pool=pool)
-            pooled_pre = prerun.run(10, pool=pool)
+            executor = pool._executor
+            pooled_pre = ScifiCampaign(prerun).run(pool=pool)
+            # Both phases ship the same golden run: no respawn.
+            assert pool._executor is executor
         assert serial_scifi.outcomes == pooled_scifi.outcomes
         assert serial_pre.outcomes == pooled_pre.outcomes
 
     def test_prerun_parallel_matches_serial(self, workload):
-        campaign = PreRuntimeCampaign(workload, iterations=ITER)
-        serial = campaign.run(12)
-        parallel = campaign.run(12, workers=2)
+        config = _image_config(workload, 12)
+        serial = ScifiCampaign(config).run()
+        parallel = ScifiCampaign(config).run(workers=2)
         assert serial.outcomes == parallel.outcomes
         for a, b in zip(serial.experiments, parallel.experiments):
-            assert a.outputs == b.outputs
+            assert list(a.outputs) == list(b.outputs)
 
 
 class TestRegisterStateBytes:

@@ -296,3 +296,45 @@ class TestCampaignEquivalence:
         simulated = metrics.counter("simulated_experiments").value
         assert pruned_total > 0
         assert pruned_total + simulated == 300
+
+
+class TestMemoryCampaignPruning:
+    """Memory faults are plain descriptors in the ``memory`` partition,
+    so the recorded RAM traces prune them and the dead-divergence exit
+    covers them like any other fault."""
+
+    @pytest.fixture(scope="class")
+    def make(self, algorithm_i_compiled):
+        def make(**overrides):
+            return CampaignConfig(
+                workload=algorithm_i_compiled,
+                faults=200,
+                iterations=60,
+                seed=5,
+                partitions=["memory"],
+                **overrides,
+            )
+
+        return make
+
+    def test_validate_pruning_reports_ok(self, make):
+        report = validate_pruning(make())
+        assert report.ok
+        assert not report.mismatches
+        assert report.summaries_match
+        # RAM words are mostly overwritten or never read again.
+        assert report.reduction >= 0.5
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
+    def test_early_exit_does_not_change_outcomes(self, make, prune):
+        fast = ScifiCampaign(make(prune=prune)).run()
+        slow = ScifiCampaign(make(prune=prune, early_exit=False)).run()
+        assert fast.outcomes == slow.outcomes
+        if not prune:
+            # Pruned, only faults read before any overwrite are simulated;
+            # on this plan each of them ends in DATA ERROR, not an exit.
+            assert any(run.early_exit_iteration for run in fast.experiments)
+        assert not any(run.early_exit_iteration for run in slow.experiments)
+        for a, b in zip(fast.experiments, slow.experiments):
+            assert list(a.outputs) == list(b.outputs)
+            assert a.final_state_differs == b.final_state_differs

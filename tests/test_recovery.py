@@ -60,6 +60,52 @@ def clean_key(algorithm_i_compiled):
     return _outcome_key(result)
 
 
+# -- memory and image fault models --------------------------------------------
+@pytest.mark.parametrize(
+    "partitions",
+    [["memory"], ["code-image", "data-image"]],
+    ids=["memory", "image"],
+)
+class TestFaultModelCampaigns:
+    """Memory and program-image campaigns run through the same plan,
+    pool, persistence and resume path as scan-chain ones, so they share
+    its guarantee: every way of running gives the same outcomes."""
+
+    ARGS = ["campaign", "--faults", "16", "--iterations", "30"]
+
+    def test_parallel_matches_serial(self, algorithm_i_compiled, partitions):
+        config = _config(algorithm_i_compiled, faults=16, partitions=partitions)
+        serial = ScifiCampaign(config).run()
+        parallel = ScifiCampaign(config).run(workers=2)
+        assert _outcome_key(parallel) == _outcome_key(serial)
+        assert {run.fault.target.partition for run in serial.experiments} <= set(
+            partitions
+        )
+        for a, b in zip(serial.experiments, parallel.experiments):
+            assert list(a.outputs) == list(b.outputs)
+            assert a.instructions_executed == b.instructions_executed
+
+    def test_abort_after_then_resume_matches_clean(
+        self, tmp_path, capsys, partitions
+    ):
+        from repro.cli import main
+
+        args = self.ARGS + ["--partitions", *partitions]
+        assert main(args) == 0
+        clean = capsys.readouterr().out
+        db = str(tmp_path / "resume.db")
+        assert main(args + ["--database", db, "--abort-after", "6"]) == 130
+        capsys.readouterr()
+        with CampaignDatabase(db) as database:
+            assert database.campaign_status(1) == "aborted"
+            assert len(database.completed_experiments(1)) >= 6
+        # The remainder runs on the worker pool.
+        resume = ["--database", db, "--resume", "1", "--workers", "2"]
+        assert main(args + resume) == 0
+        resumed = capsys.readouterr().out
+        assert resumed.replace(f"stored in {db}\n", "") == clean
+
+
 # -- policy unit tests ---------------------------------------------------------
 class TestPolicy:
     def test_backoff_grows_and_caps(self):
