@@ -524,9 +524,8 @@ class CampaignDatabase:
         """Rebuild a :class:`CampaignSummary` from stored rows.
 
         Records come back in plan order for streamed (v4) campaigns —
-        parallel chunks commit in completion order, so insertion order
-        alone would vary run to run — and in insertion order for legacy
-        rows without a plan index.
+        ordered by the stored plan index, not by insertion — and in
+        insertion order for legacy rows without a plan index.
         """
         row = self._conn.execute(
             "SELECT name, partition_sizes FROM campaigns WHERE id = ?",

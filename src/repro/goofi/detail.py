@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import CampaignError
 from repro.faults.models import FaultDescriptor
-from repro.goofi.target import TargetSystem
+from repro.goofi.target import TargetSystem, _inject
 from repro.thor.cpu import CPU, StepResult
 from repro.thor.disassembler import disassemble_word
 from repro.thor.isa import NUM_GPRS, SP_INDEX
@@ -119,9 +119,11 @@ def trace_propagation(
 
     Both runs are restored from the reference checkpoint before the
     injection iteration and replayed to the injection instruction; the
-    fault is injected into the *faulted* CPU only, and both step
-    together until the state re-converges, a detection fires, control
-    flow diverges, or ``max_instructions`` lockstep steps elapse.
+    fault — of any model: scan-chain, memory or program image — is
+    injected into the *faulted* CPU only, as a campaign applies it at
+    its seat, and both step together until the state re-converges, a
+    detection fires, control flow diverges, or ``max_instructions``
+    lockstep steps elapse.
 
     Note: the faulted CPU is the target's own; the golden twin is a
     scratch CPU built from the same checkpoint, so the environment model
@@ -148,7 +150,7 @@ def trace_propagation(
         faulted.step()
         golden.step()
 
-    target.scan_chain.flip(fault.target)
+    _inject(faulted, target.scan_chain, fault)
     report = PropagationReport(fault=fault)
 
     for _ in range(max_instructions):

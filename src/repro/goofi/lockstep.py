@@ -27,6 +27,7 @@ from repro.goofi.target import (
     ExperimentRun,
     ReferenceRun,
     TargetSystem,
+    _inject,
     hold_last_output,
 )
 from repro.tcc.codegen import CompiledProgram
@@ -95,8 +96,7 @@ class LockstepTarget:
         for _ in range(replay):
             master.step()
             self.slave.step()
-        for target in fault.targets:
-            self.inner.scan_chain.flip(target)
+        _inject(master, self.inner.scan_chain, fault)
 
         outputs: List[float] = list(reference.outputs[:start_iteration])
         run = ExperimentRun(fault=fault, outputs=outputs)

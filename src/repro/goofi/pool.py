@@ -12,6 +12,8 @@ fault model (scan-chain, memory, pre-runtime image) and a
 pruning-validation re-run can all reuse the same warm workers, as long
 as their payloads are compatible (:meth:`ReferencePool.prepare`
 re-initialises the pool only when they are not).
+:class:`InProcessExecutor` offers the same surface in the calling
+process, so serial campaigns run through the same chunk loop.
 """
 
 from __future__ import annotations
@@ -226,3 +228,37 @@ class ReferencePool:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+class InProcessExecutor:
+    """The :class:`ReferencePool` surface, run in the calling process.
+
+    A serial campaign (and a campaign whose pool rebuilds ran out) drives
+    the same chunk loop through this executor: :meth:`submit` runs the
+    task at once against ``target`` — passed as the ``target`` keyword,
+    in place of a worker's :func:`worker_target` — and returns a
+    completed future.  An ``Exception`` is set on the future like a
+    worker's failure; ``KeyboardInterrupt`` propagates to the caller.
+    """
+
+    workers = 1
+
+    def __init__(self, target: TargetSystem):
+        self.target = target
+
+    def prepare(self, _payload: WorkerPayload) -> bool:
+        return False
+
+    def rebuild(self, _payload: WorkerPayload) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, target=self.target))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future

@@ -52,10 +52,10 @@ class RecoveryPolicy:
         backoff_base: first requeue delay in seconds.
         backoff_cap: upper bound on any requeue delay.
         max_pool_rebuilds: times a broken process pool is rebuilt before
-            the campaign degrades to serial in-process execution.
+            the chunk loop carries on in this process.
         db_batch: experiments per streaming database transaction.
         heartbeat_every: experiments between two ``worker_heartbeat``
-            events (and live event-log flushes) in the execution loops;
+            events (and shard flushes) in the chunk runner;
             the cadence of the live status surface (`docs/
             observability.md`).  Like every knob here it never affects
             outcomes and is not part of the campaign fingerprint.

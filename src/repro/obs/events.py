@@ -40,10 +40,10 @@ crash-safety machinery acts:
   and was recorded with ``provenance='quarantined'`` (``index``);
 * ``worker_pool_rebuilt`` — the process pool broke and was respawned;
 * ``serial_fallback`` — pool rebuilds were exhausted and the remaining
-  experiments ran serially in the parent.
+  chunks ran in the parent (``experiments``).
 
-Work-queue events (the lease-based dispatch layer shared by the
-in-process pool and the campaign service, see
+Work-queue events (the lease-based dispatch layer shared by every
+campaign's chunk loop and the campaign service, see
 :mod:`repro.goofi.workqueue`):
 
 * ``lease_granted`` — a job was leased to a worker (``job``, ``lease``,
@@ -58,15 +58,15 @@ Data-plane diagnostics (``docs/performance.md``) are schedule-dependent
 and therefore live in the event stream, never in the metrics registry
 (whose serial/parallel equality is a tested invariant):
 
-* ``dataplane_stats`` — delta-restore counters drained from one
-  execution loop (``worker``, ``restore_words_touched``,
+* ``dataplane_stats`` — delta-restore counters drained after one
+  chunk (``worker``, ``restore_words_touched``,
   ``delta_replay_iterations``, ``full_restores``);
 * ``chunk_resized`` — the locality-aware scheduler adapted its chunk
   size to the measured worker throughput (``size``, ``rate``).
 
-Worker processes never share a file descriptor: each worker writes its
-own ``<path>.shard<N>`` file, and the parent merges the shards back into
-the main log in plan order (:func:`merge_event_shards`).
+Worker processes never share a file descriptor: each chunk writes its
+own ``<path>.shard<N>`` file, and the parent merges the shards into the
+main log (:func:`merge_event_shards`).
 """
 
 from __future__ import annotations
@@ -203,9 +203,9 @@ def read_events(path: str) -> List[Dict[str, object]]:
 def merge_event_shards(log: EventLog, shard_paths: Iterable[str]) -> int:
     """Merge worker shard files into ``log`` in plan order.
 
-    Each shard holds the ``experiment_finished`` records of one worker's
-    plan slice; the union is re-ordered by plan ``index`` so the merged
-    log is identical to a serial campaign's.  Records without an
+    Records carrying a plan ``index`` (``experiment_finished``) are
+    re-ordered by it, so shards that each hold a slice of the plan merge
+    into one plan-order sequence.  Records without an
     ``index`` (e.g. ``worker_heartbeat`` liveness reports) are appended
     *after* the experiment block, preserving their shard order — sorting
     them under a default key would splice timestamped diagnostics into

@@ -49,8 +49,8 @@ class WorkerHealth:
     """Point-in-time health of one worker process.
 
     Attributes:
-        pid: the worker's OS process id (serial campaigns report the
-            parent's pid as worker 0's).
+        pid: the worker's OS process id (a serial campaign's chunks
+            run in the parent and report its pid).
         state: ``active`` (heartbeat within the stall window), ``stalled``
             (campaign still running but the worker went quiet), or
             ``done`` (the campaign ended).

@@ -41,7 +41,7 @@ class EventSummary:
     resumed_experiments: int = 0
     aborted: bool = False
     #: Delta data-plane counters summed over every ``dataplane_stats``
-    #: event (serial loop plus worker chunks); zero when the campaign
+    #: event (one per chunk); zero when the campaign
     #: ran with the legacy full-copy plane.
     restore_words_touched: int = 0
     delta_replay_iterations: int = 0

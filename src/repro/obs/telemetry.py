@@ -8,10 +8,9 @@ code can treat uniformly.  A campaign run with ``telemetry=None`` (the
 default) takes a single ``is None`` branch per hook, so the instrumented
 code paths cost nothing when observability is off.
 
-The per-experiment recording helpers live here (not as methods) because
-the parallel path runs them inside worker processes against the worker's
-own registry/shard, while the serial path runs them in-process — both
-must record *identically* for worker merges to equal a serial run.
+The per-experiment recording helpers live here (not as methods) so the
+campaign's plan-order recorder and the chunk runner (in a pool worker
+or in-process) share one definition of each payload.
 """
 
 from __future__ import annotations
@@ -112,8 +111,7 @@ class Telemetry:
         """Make the live telemetry surface current: flush the event log
         and, when due, write a metrics snapshot.
 
-        Campaign code calls this at chunk boundaries (and every
-        ``RecoveryPolicy.heartbeat_every`` serial experiments), which is
+        Campaign code calls this at chunk boundaries, which is
         what makes ``repro obs status``/``watch`` able to read a running
         campaign — without the flush, buffered events would sit in this
         process until the run ended.
@@ -160,7 +158,7 @@ class Telemetry:
         self.close()
 
 
-# -- shared recording helpers (serial path and worker processes) ---------------
+# -- shared recording helpers (campaign recorder and chunk runner) -------------
 def record_outcome(registry: MetricsRegistry, run, outcome) -> None:
     """Count one classified experiment into ``registry``.
 
@@ -204,12 +202,12 @@ def heartbeat_event(
 ) -> Dict[str, object]:
     """The ``worker_heartbeat`` payload for one liveness report.
 
-    Emitted by the execution loops — the worker chunk loop into its
-    shard, the serial loop into the main log — every
-    ``RecoveryPolicy.heartbeat_every`` experiments, carrying chunk
-    progress and throughput.  ``pid`` identifies the reporting process
-    across chunk submissions, which is what the status reducer keys
-    per-worker health on.
+    Emitted by the chunk runner into its chunk's shard every
+    ``RecoveryPolicy.heartbeat_every`` experiments and at chunk end,
+    carrying chunk progress and throughput — whether the chunk ran in a
+    pool worker or, for a serial campaign, in the parent.  ``pid``
+    identifies the reporting process across chunk submissions, which is
+    what the status reducer keys per-worker health on.
     """
     return {
         "ts": now(),

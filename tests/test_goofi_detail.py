@@ -75,3 +75,31 @@ class TestTracePropagation:
         lines = report.summary_lines()
         assert lines[0].startswith("propagation of registers/r0[3]")
         assert any("r0" in line for line in lines[1:])
+
+
+class TestOtherFaultModels:
+    """Detail mode applies memory and program-image faults exactly as a
+    campaign does at its seat, so any campaign's fault can be traced."""
+
+    def test_memory_fault_traces_to_its_parity_check(self, short_reference_target):
+        from repro.goofi.memfault import memory_fault, memory_words
+
+        target = short_reference_target
+        fault = memory_fault(
+            target.reference, memory_words(target.cpu.layout)[3], 30, 5
+        )
+        report = trace_propagation(target, fault)
+        assert report.timeline[0].instruction_index == fault.time
+        assert report.timeline[0].diverged == ("memory",)
+        # The stored bit flipped without its parity: the next read trips.
+        assert report.detected == "DATA ERROR"
+
+    def test_code_image_fault_traces(self, short_reference_target):
+        from repro.goofi.prerun import image_fault, image_words
+
+        target = short_reference_target
+        partition, address = image_words(target.workload)[1]
+        report = trace_propagation(target, image_fault(partition, address, 3))
+        assert report.timeline[0].instruction_index == 0
+        assert "memory" in report.timeline[0].diverged
+        assert report.detected is not None

@@ -104,3 +104,40 @@ class TestLockstep:
             if delivered_wrong:
                 lock_run = lockstep.run_experiment(fault)
                 assert lock_run.detection is not None, fault.label()
+
+
+class TestOtherFaultModels:
+    """The lockstep pair takes memory and program-image faults into the
+    master, applied as a campaign applies them at its seat."""
+
+    def test_memory_fault_trips_the_master_parity_check(self, lockstep):
+        from repro.goofi import TargetSystem
+        from repro.goofi.memfault import memory_fault, memory_words
+
+        reference = lockstep.reference
+        address = memory_words(lockstep.inner.cpu.layout)[3]
+        fault = memory_fault(reference, address, 30, 5)
+        run = lockstep.run_experiment(fault)
+        # Invisible to the comparator until read: the master's own EDM
+        # catches it at the same instruction as on a plain node.
+        plain = TargetSystem(compile_algorithm_i(), iterations=ITERATIONS)
+        plain.run_reference()
+        plain_run = plain.run_experiment(fault)
+        assert run.detection is not None
+        assert run.detection.mechanism is Mechanism.DATA_ERROR
+        assert (
+            run.detection.instruction_index
+            == plain_run.detection.instruction_index
+        )
+        assert run.detected_iteration == 5
+
+    def test_code_image_fault_is_caught_by_the_comparator(self, lockstep):
+        from repro.goofi.prerun import image_fault, image_words
+
+        partition, address = image_words(lockstep.inner.workload)[1]
+        run = lockstep.run_experiment(image_fault(partition, address, 3))
+        # Only the master's image is corrupted: the pair diverges on the
+        # first instruction that executes the faulty word.
+        assert run.detection is not None
+        assert run.detection.mechanism is Mechanism.COMPARATOR_ERROR
+        assert run.detected_iteration == 0

@@ -411,8 +411,13 @@ class TestHeartbeatEmission:
     def test_serial_campaign_emits_heartbeats(self, algorithm_i_compiled, tmp_path):
         path = str(tmp_path / "events.jsonl")
         telemetry = Telemetry(events_path=path)
+        # Fixed four-experiment chunks, so the sequence does not depend on
+        # the measured throughput: chunks of 4, 4 and 2.
         config = _config(
-            algorithm_i_compiled, recovery=RecoveryPolicy(heartbeat_every=3)
+            algorithm_i_compiled,
+            recovery=RecoveryPolicy(
+                heartbeat_every=3, min_chunk_size=4, max_chunk_size=4
+            ),
         )
         ScifiCampaign(config).run(telemetry=telemetry)
         telemetry.close()
@@ -421,8 +426,15 @@ class TestHeartbeatEmission:
             for record in read_events(path)
             if record["event"] == "worker_heartbeat"
         ]
-        assert [b["done"] for b in beats] == [3, 6, 9]
-        assert all(b["total"] == 10 and b["worker"] == 0 for b in beats)
+        # The chunk runner heartbeats every third experiment and at chunk
+        # end, counting within its chunk, like a one-worker pool's.
+        assert [(b["worker"], b["done"], b["total"]) for b in beats] == [
+            (1, 3, 4),
+            (1, 4, 4),
+            (2, 3, 4),
+            (2, 4, 4),
+            (3, 2, 2),
+        ]
         assert all(b["pid"] == os.getpid() for b in beats)
 
     def test_parallel_campaign_heartbeats_carry_worker_pids(

@@ -279,6 +279,43 @@ class TestResume:
         assert aborted[0]["completed"] == 4
         assert summarize_events(events).aborted
 
+    def test_parallel_abort_and_resume_keeps_the_event_history(
+        self, tmp_path, capsys
+    ):
+        """A pool run aborted mid-campaign and resumed leaves the event
+        log an uninterrupted serial run writes: every experiment_finished
+        record, once, in plan order — the same prefix the database
+        stored when the abort hit."""
+        from repro.cli import main
+
+        args = ["campaign", "--faults", "40", "--iterations", "60"]
+        clean_path = str(tmp_path / "clean.jsonl")
+        assert main(args + ["--events", clean_path]) == 0
+        db = str(tmp_path / "r.db")
+        path = str(tmp_path / "r.jsonl")
+        run = args + ["--workers", "2", "--database", db, "--events", path]
+        assert main(run + ["--abort-after", "15"]) == 130
+        with CampaignDatabase(db) as database:
+            stored = sorted(database.completed_experiments(1))
+        aborted = [
+            e["index"]
+            for e in read_events(path)
+            if e["event"] == "experiment_finished"
+        ]
+        assert aborted == stored == list(range(15))
+        assert main(run + ["--resume", "1"]) == 0
+        capsys.readouterr()
+
+        def finished(events_path):
+            return [
+                e
+                for e in read_events(events_path)
+                if e["event"] == "experiment_finished"
+            ]
+
+        assert finished(path) == finished(clean_path)
+        assert summarize_events(read_events(path)).experiments == 40
+
     def test_resume_refuses_config_mismatch(self, algorithm_i_compiled):
         db = CampaignDatabase(":memory:")
         self._interrupt(algorithm_i_compiled, db, after=5)
@@ -381,6 +418,44 @@ class TestWorkerRecovery:
         assert summary.quarantined == 1
         # No experiment was silently dropped.
         assert len(result.experiments) == 12
+
+    def test_pool_exhaustion_carries_on_in_process(
+        self, algorithm_i_compiled, clean_key, tmp_path
+    ):
+        """With no pool rebuilds allowed, the first worker kill moves the
+        rest of the campaign into the parent.  Exit-mode chaos models a
+        worker kill, so the second crash of experiment 5 is dropped
+        there instead of killing the parent."""
+        chaos = ChaosSpec(marker_dir=str(tmp_path), crashes={5: 2}, mode="exit")
+        path = str(tmp_path / "fallback.jsonl")
+        config = _config(
+            algorithm_i_compiled,
+            chaos=chaos,
+            recovery=_policy(max_pool_rebuilds=0),
+        )
+        with Telemetry(events_path=path) as telemetry:
+            result = ScifiCampaign(config).run(workers=2, telemetry=telemetry)
+        assert _outcome_key(result) == clean_key
+        assert not any(run.quarantined for run in result.experiments)
+        # One crash claimed in a worker; the parent never crashed.
+        assert (tmp_path / "crash-5-0").exists()
+        assert not (tmp_path / "crash-5-1").exists()
+        events = read_events(path)
+        fallbacks = [e for e in events if e["event"] == "serial_fallback"]
+        assert len(fallbacks) == 1 and fallbacks[0]["experiments"] >= 1
+        # Every chunk leased after the fallback ran in this process.
+        after = events[events.index(fallbacks[0]) :]
+        local = {e["worker"] for e in after if e["event"] == "lease_granted"}
+        beats = [
+            e
+            for e in events
+            if e["event"] == "worker_heartbeat" and e["worker"] in local
+        ]
+        assert local and {b["pid"] for b in beats} == {os.getpid()}
+        summary = summarize_events(events)
+        assert summary.serial_fallbacks == 1
+        assert summary.pool_rebuilds == 0
+        assert summary.experiments == 12
 
     def test_serial_chaos_retries_then_quarantines(
         self, algorithm_i_compiled, clean_key, tmp_path
