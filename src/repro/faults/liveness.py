@@ -27,17 +27,33 @@ that verdict for every traced element at every boundary, so
 ``TargetSystem`` can stop such a run mid-window and splice in the
 reference's output tail (the dead-divergence exit).
 
-:class:`AccessRecorder` collects the per-element access trace during
-``TargetSystem.run_reference(record_access=True)`` through no-op-by-
-default hooks in the CPU, the data cache and the memory map.  Accesses
-carry a bit mask so partial-element writes (the PSW's flag bits) prune
-correctly.  Memory accesses are keyed by *integer* address internally —
-the hooks run once per data access of the reference run, so per-access
-``f"{addr:#x}"`` formatting is pure hot-path waste; the conversion to
-:mod:`repro.goofi.memfault`'s hex element naming happens once per
-query, at the :class:`~repro.faults.models.FaultTarget` boundary.
-:class:`LivenessMap` answers the classification query with a binary
-search over each element's trace.
+Trace, then analyse (as FAIL* does): a recording reference run
+(``TargetSystem.run_reference(record_access=True)``) runs on the CPU's
+table-driven loop with a :class:`~repro.thor.cpu.AccessLog` attached,
+which keeps the executed instruction words, one register-access
+template per word (captured through the reference chain's recorder
+hooks) and the cacheable data-access stream.  :func:`traces_from_log`
+derives every element's trace from that offline:
+
+* registers, PSW, MAR and MDR — each executed instruction contributes
+  its word's template at its dynamic index;
+* cache fields and memory words — the address stream is replayed line
+  by line through the direct-mapped cache's hook semantics.  Every
+  access leaves its own tag in its line and only writes set ``dirty``,
+  so each access's hit, refill and write-back follow from the line's
+  previous access alone, and the replay is a handful of array passes.
+
+Accesses carry a bit mask so partial-element writes (the PSW's flag
+bits) prune correctly.  Memory accesses are keyed by *integer* address
+internally; the conversion to :mod:`repro.goofi.memfault`'s hex element
+naming happens once per query, at the
+:class:`~repro.faults.models.FaultTarget` boundary.  :class:`LivenessMap`
+keeps each element's trace as numpy arrays (:class:`KeyTrace`) and
+answers the classification query with a binary search.
+
+:class:`AccessRecorder` is the hooked oracle the derivation is tested
+against: attached to the CPU, the data cache and the memory map, it
+records every access through the no-op-by-default hooks as it happens.
 
 Conservatism rules (they only cost pruning opportunities, never
 correctness): an access whose effect on a bit is uncertain is recorded
@@ -50,9 +66,17 @@ from __future__ import annotations
 import enum
 import pickle
 import zlib
-from bisect import bisect_left
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -63,7 +87,9 @@ from repro.faults.models import (
     FaultDescriptor,
     FaultTarget,
 )
-from repro.thor.cache import LINES
+from repro.thor.cache import INDEX_BITS, LINES, OFFSET_BITS, TAG_BITS
+from repro.thor.cpu import AccessLog
+from repro.thor.memory import MemoryLayout
 
 #: Mask covering every bit of a full-word element.
 FULL_MASK = 0xFFFFFFFF
@@ -116,8 +142,23 @@ OVERWRITTEN_CODE = 1
 LATENT_CODE = 2
 
 
+def traced_memory_ranges(layout: MemoryLayout) -> Tuple[Tuple[int, int], ...]:
+    """``(base, end)`` of the RAM regions a recording reference covers:
+    the cacheable data space (rodata, data, stack).  Code words are
+    touched by every instruction fetch and MMIO changes under the
+    environment's feet, so neither is prunable."""
+    return tuple(
+        (base, base + size)
+        for base, size in (
+            (layout.rodata_base, layout.rodata_size),
+            (layout.data_base, layout.data_size),
+            (layout.stack_base, layout.stack_size),
+        )
+    )
+
+
 class AccessRecorder:
-    """Collects per-element access traces during a reference run.
+    """Collects per-element access traces through the hooks (the oracle).
 
     The CPU drives :attr:`now` (the dynamic instruction index) once per
     instruction; every hook appends ``(now, is_write, mask)`` to the
@@ -126,7 +167,7 @@ class AccessRecorder:
     value independent of their previous contents.
     """
 
-    __slots__ = ("now", "traces", "memory_ranges")
+    __slots__ = ("now", "traces", "memory_ranges", "data_accesses")
 
     def __init__(self) -> None:
         self.now = 0
@@ -134,6 +175,9 @@ class AccessRecorder:
         #: ``(base, end)`` address ranges whose words the memory hooks
         #: cover; data-space faults outside them classify as live.
         self.memory_ranges: List[Tuple[int, int]] = []
+        #: ``(now, address, is_write)`` of every cacheable data access
+        #: the CPU made: the stream an access log replays.
+        self.data_accesses: List[Tuple[int, int, bool]] = []
 
     def track_memory_range(self, base: int, size: int) -> None:
         """Declare one RAM region as covered by the memory hooks."""
@@ -153,6 +197,9 @@ class AccessRecorder:
         if trace is None:
             trace = self.traces[key] = []
         trace.append((self.now, True, mask))
+
+    def data_access(self, address: int, is_write: bool) -> None:
+        self.data_accesses.append((self.now, address, is_write))
 
     def cache_read(self, line: int, field: str) -> None:
         key = _CACHE_KEYS[line][field]
@@ -183,6 +230,184 @@ class AccessRecorder:
         trace.append((self.now, True, FULL_MASK))
 
 
+class KeyTrace(NamedTuple):
+    """One element's access trace, in time order."""
+
+    #: Dynamic instruction index of each access (ascending).
+    times: np.ndarray
+    #: Whether each access overwrites the bits its mask covers (bool).
+    writes: np.ndarray
+    #: Bit mask of each access, or ``None`` when every access covers
+    #: the full word.
+    masks: Optional[np.ndarray] = None
+
+
+def _key_trace(entries: Sequence[AccessEntry]) -> KeyTrace:
+    table = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    masks = table[:, 2]
+    return KeyTrace(
+        table[:, 0].copy(),
+        table[:, 1].astype(bool),
+        None if bool((masks == FULL_MASK).all()) else masks.copy(),
+    )
+
+
+# -- the offline derivation ----------------------------------------------------
+def traces_from_log(log: AccessLog) -> Dict[TraceKey, KeyTrace]:
+    """Every element's access trace, derived from a compact access log;
+    equal, entry for entry, to what :class:`AccessRecorder` records over
+    the same run."""
+    traces = _register_traces(log)
+    traces.update(_cache_traces(log))
+    return traces
+
+
+def _time_dtype(end: int) -> type:
+    """Trace times as int32 while the run's instruction indices fit."""
+    return np.int32 if end < 2**31 else np.int64
+
+
+def _register_traces(log: AccessLog) -> Dict[TraceKey, KeyTrace]:
+    """Each executed instruction's word template, at its dynamic index,
+    one register element at a time."""
+    words = np.asarray(log.words, dtype=np.uint32)
+    unique, which = np.unique(words, return_inverse=True)
+    # Per element, the template entries of every word, grouped by word.
+    per_element: Dict[str, Tuple[List[int], List[bool], List[int]]] = {}
+    for owner, word in enumerate(unique.tolist()):
+        for element, is_write, mask in log.templates[word]:
+            owners, writes, masks = per_element.setdefault(element, ([], [], []))
+            owners.append(owner)
+            writes.append(is_write)
+            masks.append(mask)
+    end = log.start + len(words)
+    indices = np.arange(log.start, end, dtype=_time_dtype(end))
+    traces: Dict[TraceKey, KeyTrace] = {}
+    for element, (owners, writes, masks) in per_element.items():
+        # Instruction i contributes output entries [ends[i] - per[i],
+        # ends[i]), copied from its word's slice of the entries.
+        sizes = np.bincount(owners, minlength=len(unique))
+        per = sizes[which]
+        ends = np.cumsum(per)
+        slot = np.repeat(
+            (np.cumsum(sizes) - sizes)[which] - (ends - per), per
+        ) + np.arange(ends[-1])
+        mask = np.asarray(masks, dtype=np.uint32)
+        traces[(REGISTER_PARTITION, element)] = KeyTrace(
+            np.repeat(indices, per),
+            np.asarray(writes, dtype=bool)[slot],
+            None if bool((mask == FULL_MASK).all()) else mask[slot],
+        )
+    return traces
+
+
+# Replay patterns: what one access finds in its line.
+_READ_HIT, _WRITE_HIT, _MISS_EMPTY, _MISS_CLEAN, _MISS_DIRTY = range(5)
+
+#: Per cache field and replay pattern, the is_write flags of the hook
+#: calls :class:`~repro.thor.cache.DataCache` makes on that field, in
+#: order (-1 pads).  A miss is the same for reads and writes: check
+#: (valid, and the tag of a valid line), evict (valid, and of a valid
+#: line dirty, and of a dirty one tag and data), then fill (tag, valid,
+#: data, dirty).
+_FIELD_FLAGS: Dict[str, np.ndarray] = {
+    field: np.array(
+        [list(row) + [-1] * (4 - len(row)) for row in rows], dtype=np.int8
+    )
+    for field, rows in {
+        #        read hit  write hit  empty         clean         dirty
+        "valid": ((0,),    (0,),      (0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1)),
+        "tag":   ((0,),    (0,),      (1,),         (0, 1),       (0, 0, 1)),
+        "data":  ((0,),    (1,),      (1,),         (1,),         (0, 1)),
+        "dirty": ((),      (1,),      (1, 1),       (0, 1, 1),    (0, 1, 1)),
+    }.items()
+}
+
+
+def _cache_traces(log: AccessLog) -> Dict[TraceKey, KeyTrace]:
+    """Replay the logged cacheable accesses through the direct-mapped
+    cache, from the empty cache a loaded program starts with: the
+    cache-field and memory-word traces.
+
+    Per line, in time order: an access hits when the line's previous
+    access had the same tag (every access leaves its own tag, and only a
+    line never accessed is invalid); the line is dirty when its last
+    write came after its last read miss.  A miss on a dirty line writes
+    the old word back (a write-back into rodata would detect, so a
+    finished reference has none outside data and stack); a read miss
+    refills from memory.
+    """
+    count = len(log.access_times)
+    if not count:
+        return {}
+    addresses = np.asarray(log.access_addresses, dtype=np.int64)
+    order = np.argsort((addresses >> OFFSET_BITS) & (LINES - 1), kind="stable")
+    address = addresses[order]
+    time = np.asarray(log.access_times, dtype=np.int64)[order].astype(
+        _time_dtype(log.start + len(log.words))
+    ) + log.start
+    write = np.asarray(log.access_writes, dtype=bool)[order]
+    del order
+    line = ((address >> OFFSET_BITS) & (LINES - 1)).astype(np.int8)
+    tag = (address >> (OFFSET_BITS + INDEX_BITS)) & ((1 << TAG_BITS) - 1)
+    position = np.arange(count, dtype=np.int32)
+
+    first = np.ones(count, dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    previous_tag = np.roll(tag, 1)
+    hit = ~first & (tag == previous_tag)
+    # A write leaves the line dirty, a read miss clean, a read hit as
+    # it was: the dirty bit an access finds is the write flag of the
+    # line's last earlier access that was not a read hit.
+    settles = np.maximum.accumulate(np.where(write | ~hit, position, -1))
+    settled = np.empty_like(settles)
+    settled[0] = -1
+    settled[1:] = settles[:-1]
+    line_start = np.maximum.accumulate(np.where(first, position, 0))
+    dirty = (settled >= line_start) & write[settled]
+    pattern = np.where(
+        hit,
+        np.where(write, _WRITE_HIT, _READ_HIT),
+        np.where(first, _MISS_EMPTY, np.where(dirty, _MISS_DIRTY, _MISS_CLEAN)),
+    ).astype(np.int8)
+    del settles, settled, line_start, dirty
+
+    traces: Dict[TraceKey, KeyTrace] = {}
+    line_cuts = np.arange(LINES + 1)
+    for field, table in _FIELD_FLAGS.items():
+        flags = table[pattern]
+        keep = flags >= 0
+        field_times = np.broadcast_to(time[:, None], flags.shape)[keep]
+        field_writes = flags[keep] == 1
+        cuts = np.searchsorted(
+            np.broadcast_to(line[:, None], flags.shape)[keep], line_cuts
+        )
+        for index in range(LINES):
+            lo, hi = cuts[index], cuts[index + 1]
+            if lo < hi:
+                traces[_CACHE_KEYS[index][field]] = KeyTrace(
+                    field_times[lo:hi], field_writes[lo:hi]
+                )
+
+    written_back = pattern == _MISS_DIRTY
+    refilled = ~hit & ~write
+    victim = (previous_tag[written_back] << (OFFSET_BITS + INDEX_BITS)) | (
+        line[written_back].astype(np.int64) << OFFSET_BITS
+    )
+    word = np.concatenate((victim, address[refilled]))
+    word_time = np.concatenate((time[written_back], time[refilled]))
+    word_write = np.arange(len(word)) < len(victim)
+    by_word = np.lexsort((word_time, word))
+    word, word_time = word[by_word], word_time[by_word]
+    word_write = word_write[by_word]
+    starts = np.flatnonzero(np.diff(word, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(word)]):
+        traces[(MEMORY_PARTITION, int(word[lo]))] = KeyTrace(
+            word_time[lo:hi], word_write[lo:hi]
+        )
+    return traces
+
+
 def _target_trace_key(target: FaultTarget) -> Optional[TraceKey]:
     """Map a FaultTarget to the internal trace key, or None if the
     element name cannot be parsed (memory elements use hex naming)."""
@@ -199,22 +424,34 @@ class LivenessMap:
 
     def __init__(
         self,
-        traces: Dict[TraceKey, List[AccessEntry]],
+        traces: Mapping[TraceKey, KeyTrace],
         total_instructions: int,
         memory_ranges: Iterable[Tuple[int, int]] = (),
     ):
-        self._traces = traces
-        self._times = {key: [e[0] for e in trace] for key, trace in traces.items()}
+        self._traces = dict(traces)
         self.total_instructions = total_instructions
         self._memory_ranges = tuple(memory_ranges)
+        #: Partial-mask elements (the PSW): per bit some access covers,
+        #: the times and write flags of the accesses covering it.
+        self._bits: Dict[TraceKey, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
+        for key, trace in self._traces.items():
+            if trace.masks is None:
+                continue
+            covered = int(np.bitwise_or.reduce(trace.masks))
+            per_bit = {}
+            for bit in range(covered.bit_length()):
+                if covered >> bit & 1:
+                    picked = (trace.masks >> bit & 1).astype(bool)
+                    per_bit[bit] = (trace.times[picked], trace.writes[picked])
+            self._bits[key] = per_bit
 
     @classmethod
     def from_recorder(
         cls, recorder: AccessRecorder, total_instructions: int
     ) -> "LivenessMap":
-        """Freeze a finished recorder into a queryable map."""
+        """Freeze a finished hooked recorder into a queryable map."""
         return cls(
-            traces=recorder.traces,
+            {key: _key_trace(trace) for key, trace in recorder.traces.items()},
             total_instructions=total_instructions,
             memory_ranges=recorder.memory_ranges,
         )
@@ -237,18 +474,21 @@ class LivenessMap:
         if key in ALWAYS_LIVE or not self._covers(target):
             return Liveness.LIVE
         trace_key = _target_trace_key(target)
-        times = self._times.get(trace_key)
-        if times is None:
+        trace = self._traces.get(trace_key)  # type: ignore[arg-type]
+        if trace is None:
             # The element is covered by the hooks but the reference run
             # never touched it: the flip survives to the final state.
             return Liveness.LATENT
-        trace = self._traces[trace_key]
-        bit = 1 << target.bit
-        for i in range(bisect_left(times, time), len(trace)):
-            _t, is_write, mask = trace[i]
-            if mask & bit:
-                return Liveness.OVERWRITTEN if is_write else Liveness.LIVE
-        return Liveness.LATENT
+        times, writes = trace.times, trace.writes
+        per_bit = self._bits.get(trace_key)  # type: ignore[arg-type]
+        if per_bit is not None:
+            if target.bit not in per_bit:
+                return Liveness.LATENT
+            times, writes = per_bit[target.bit]
+        first = int(times.searchsorted(time))
+        if first == len(times):
+            return Liveness.LATENT
+        return Liveness.OVERWRITTEN if writes[first] else Liveness.LIVE
 
     def classify_fault(self, fault: FaultDescriptor) -> Liveness:
         """Pre-classify a (possibly multi-bit) fault descriptor.
@@ -274,62 +514,47 @@ class LivenessMap:
 
         Full-mask elements get one row; elements written or read through
         a partial mask (the PSW) get one row per bit any access covers.
-        The traces hold ~0.7 M entries on Algorithm I, so every pass
-        over one runs in C: a ``searchsorted`` per element, then one
-        entry lookup per boundary.  Only the register hooks take a mask,
-        so only register traces are scanned for partial ones.
+        Each row is one ``searchsorted`` of the boundaries into the
+        element's times and one gather of the write flags found there.
         """
         bounds = np.asarray(boundaries, dtype=np.int64)
         rows: Dict[TraceKey, bytes] = {}
         bit_rows: Dict[TraceKey, Dict[int, bytes]] = {}
         for key, trace in self._traces.items():
-            masks = (
-                set(map(_MASK, trace))
-                if key[0] == REGISTER_PARTITION
-                else {FULL_MASK}
-            )
-            if masks == {FULL_MASK}:
-                rows[key] = _verdict_row(self._times[key], trace, bounds)
-                continue
-            covered = 0
-            for mask in masks:
-                covered |= mask
-            per_bit: Dict[int, bytes] = {}
-            for bit in range(covered.bit_length()):
-                flag = 1 << bit
-                if covered & flag:
-                    entries = [e for e in trace if e[2] & flag]
-                    per_bit[bit] = _verdict_row(
-                        [e[0] for e in entries], entries, bounds
-                    )
-            bit_rows[key] = per_bit
+            per_bit = self._bits.get(key)
+            if per_bit is None:
+                rows[key] = _verdict_row(trace.times, trace.writes, bounds)
+            else:
+                bit_rows[key] = {
+                    bit: _verdict_row(times, writes, bounds)
+                    for bit, (times, writes) in per_bit.items()
+                }
         return BoundaryLiveness(rows, bit_rows, self._memory_ranges)
 
     def trace(self, target: FaultTarget) -> List[AccessEntry]:
         """The recorded access trace of one element (for diagnostics)."""
         trace_key = _target_trace_key(target)
-        if trace_key is None:
+        trace = self._traces.get(trace_key) if trace_key is not None else None
+        if trace is None:
             return []
-        return list(self._traces.get(trace_key, ()))
-
-
-_MASK = itemgetter(2)
-_IS_WRITE = itemgetter(1)
-#: Stands past a trace's end; its "is_write" field is the latent code.
-_END_OF_TRACE = (0, LATENT_CODE, FULL_MASK)
+        times = trace.times.tolist()
+        masks = (
+            trace.masks.tolist() if trace.masks is not None else [FULL_MASK] * len(times)
+        )
+        return list(zip(times, trace.writes.tolist(), masks))
 
 
 def _verdict_row(
-    times: List[int], trace: List[AccessEntry], bounds: "np.ndarray"
+    times: np.ndarray, writes: np.ndarray, bounds: np.ndarray
 ) -> bytes:
     """One verdict byte per boundary: the kind of the first access at or
-    after it (every entry of ``trace`` covers the bit), or latent."""
-    first = np.searchsorted(
-        np.fromiter(times, dtype=np.int64, count=len(times)), bounds
-    ).tolist()
-    # is_write is a bool: True/False are OVERWRITTEN_CODE/LIVE_CODE.
-    padded = trace + [_END_OF_TRACE]
-    return bytes(map(_IS_WRITE, map(padded.__getitem__, first)))
+    after it (every entry covers the bit), or latent."""
+    first = np.searchsorted(times, bounds)
+    codes = np.full(len(bounds), LATENT_CODE, dtype=np.uint8)
+    inside = first < len(times)
+    # A write flag is 1 or 0: OVERWRITTEN_CODE or LIVE_CODE.
+    codes[inside] = writes[first[inside]]
+    return codes.tobytes()
 
 
 class BoundaryLiveness:

@@ -38,7 +38,7 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -293,7 +293,7 @@ def _run_chunk(args, target: Optional[TargetSystem] = None):
     previous_batch = target.batch_size
     target.batch_size = max(1, int(batch_size))
     try:
-        reference_outputs = target.reference.outputs
+        reference_outputs = np.asarray(target.reference.outputs, dtype=float)
         group_size = target.batch_size
         for start in range(0, len(chunk), group_size):
             group = chunk[start : start + group_size]
@@ -693,11 +693,12 @@ class ScifiCampaign:
                         )
                     pruned = preclassify_pairs(remaining, liveness)
                     live_plan = pruned.live
+                    reference_outputs = np.asarray(reference.outputs, dtype=float)
                     for index, fault, classification in pruned.predicted:
                         run = synthesize_run(fault, classification, reference)
                         results[index] = (
                             run,
-                            self._classify(run, reference.outputs),
+                            self._classify(run, reference_outputs),
                         )
                     if telemetry is not None and telemetry.metrics is not None:
                         for _i, _f, classification in pruned.predicted:
@@ -1232,12 +1233,19 @@ class ScifiCampaign:
             telemetry.events.flush()
 
     @staticmethod
-    def _classify(run: ExperimentRun, reference_outputs: List[float]) -> Outcome:
+    def _classify(
+        run: ExperimentRun, reference_outputs: Sequence[float]
+    ) -> Outcome:
+        """Classify one result.  Callers classifying many results pass
+        the reference outputs as one float array, so no call converts
+        them again; a predicted run delivers exactly the reference
+        outputs (:func:`synthesize_run`), so it is classified against
+        that array instead of materialising its own view of it."""
         detected_by = (
             run.detection.mechanism.value if run.detection is not None else None
         )
         return classify_experiment(
-            observed=run.outputs,
+            observed=reference_outputs if run.predicted else run.outputs,
             reference=reference_outputs,
             detected_by=detected_by,
             final_state_differs=run.final_state_differs,

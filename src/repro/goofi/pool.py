@@ -18,6 +18,7 @@ process, so serial campaigns run through the same chunk loop.
 
 from __future__ import annotations
 
+import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,6 +59,10 @@ def _initialize_worker(payload: WorkerPayload) -> None:
     snapshots.
     """
     global _WORKER_TARGET
+    # A forked worker inherits the campaign's SIGTERM handler, which
+    # raises AbortRequested.  The executor stops the survivors of a
+    # broken pool with SIGTERM; they should just exit.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     target = TargetSystem(
         workload=payload.workload,
         environment=payload.environment_factory(),

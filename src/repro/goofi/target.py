@@ -40,9 +40,10 @@ from repro.faults.liveness import (
     FULL_MASK,
     LATENT_CODE,
     LIVE_CODE,
-    AccessRecorder,
     BoundaryLiveness,
     LivenessMap,
+    traced_memory_ranges,
+    traces_from_log,
 )
 from repro.faults.models import (
     CACHE_PARTITION,
@@ -63,7 +64,7 @@ from repro.tcc.codegen import CompiledProgram
 from repro.obs.metrics import DETECTION_LATENCY_BUCKETS, INSTRUCTIONS_BUCKETS
 from repro.plant.engine import EngineModel
 from repro.thor.cache import LINES
-from repro.thor.cpu import CPU, PSW_MASK, BatchEngine, StepResult
+from repro.thor.cpu import CPU, PSW_MASK, AccessLog, BatchEngine, StepResult
 from repro.thor.edm import DetectionEvent, add_detection_listener
 from repro.thor.isa import NUM_GPRS
 from repro.thor.scanchain import ScanChain
@@ -509,14 +510,15 @@ class TargetSystem:
     def run_reference(self, record_access: bool = False) -> ReferenceRun:
         """Execute the workload fault-free and record all checkpoints.
 
-        With ``record_access=True`` the run additionally collects the
-        def/use access trace of every injectable state element (plus the
-        tracked data-space memory words) through the CPU/cache/memory
-        recorder hooks, and freezes it into :attr:`liveness` for the
-        campaign's fault pruning, and into the reference's
-        :attr:`~ReferenceRun.boundary_liveness` table for the
-        dead-divergence exit.  Recording changes nothing about the
-        reference's execution — the hooks only observe.
+        With ``record_access=True`` the run additionally keeps a
+        compact :class:`~repro.thor.cpu.AccessLog` (executed words, one
+        register template per word, the cacheable data accesses), from
+        which the def/use access trace of every injectable state element
+        (plus the tracked data-space memory words) is derived offline
+        into :attr:`liveness` for the campaign's fault pruning, and into
+        the reference's :attr:`~ReferenceRun.boundary_liveness` table for
+        the dead-divergence exit.  Recording changes nothing about the
+        reference's execution — the log only observes.
         """
         cpu = self.cpu
         env = self.environment
@@ -526,18 +528,11 @@ class TargetSystem:
             self._warm_start_workload()
         env.write_inputs(cpu.memory.mmio)
 
-        recorder: Optional[AccessRecorder] = None
+        # Attach after load(): the loader's pokes are initial state, not
+        # architectural accesses.
+        log: Optional[AccessLog] = None
         if record_access:
-            # Attach after load(): the loader rebuilds memory/cache and
-            # its pokes are initial state, not architectural accesses.
-            recorder = AccessRecorder()
-            layout = cpu.layout
-            recorder.track_memory_range(layout.rodata_base, layout.rodata_size)
-            recorder.track_memory_range(layout.data_base, layout.data_size)
-            recorder.track_memory_range(layout.stack_base, layout.stack_size)
-            cpu.recorder = recorder
-            cpu.cache.recorder = recorder
-            cpu.memory.recorder = recorder
+            log = cpu.access_log = AccessLog(cpu.instruction_index)
 
         if self._cursor is not None:
             # load() replaced the memory map; any armed undo log died
@@ -574,13 +569,13 @@ class TargetSystem:
                     snapshots.append(self._snapshot())
                 instructions_at.append(cpu.instruction_index)
         finally:
-            cpu.recorder = None
-            cpu.cache.recorder = None
-            cpu.memory.recorder = None
+            cpu.access_log = None
         boundary_liveness: Optional[BoundaryLiveness] = None
-        if recorder is not None:
-            self.liveness = LivenessMap.from_recorder(
-                recorder, cpu.instruction_index
+        if log is not None:
+            self.liveness = LivenessMap(
+                traces_from_log(log),
+                cpu.instruction_index,
+                traced_memory_ranges(cpu.layout),
             )
             boundary_liveness = self.liveness.boundary_table(instructions_at)
         self.reference = ReferenceRun(

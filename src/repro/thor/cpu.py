@@ -41,13 +41,33 @@ behaviour:
 
 :meth:`CPU.step` runs one instruction of the same loop; reference
 runs, prefix replay, faulted suffixes and batch lanes all go through it.
+
+Access logging
+--------------
+
+A recording reference run (def/use liveness, :mod:`repro.faults.liveness`)
+also runs on the table-driven loop, with an :class:`AccessLog` attached
+as :attr:`CPU.access_log`.  The log keeps only what the offline
+derivation needs, in ``array`` buffers: the word of every executed
+instruction, and the time, address and direction of every cacheable
+data access.  The loop binds three of its locals to the log — the entry
+lookup, which reports each word, and the two cache miss calls, which
+every cacheable access takes because no line reads as valid — so an
+unlogged run pays one ``if`` per :meth:`CPU.run` call and nothing per
+instruction.  The register, PSW, MAR and MDR accesses of a word are the
+same on every execution that does not detect, so they are captured once
+per word, as a *template*: a word's first execution takes the generic
+entry, i.e. one step of the reference chain with the log as its
+recorder.  Logging thus adds no per-opcode code of its own.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MachineError
@@ -187,10 +207,14 @@ class CPU:
         #: Optional detail-mode hook, called with a TraceEntry per step.
         self.trace_hook = None
         #: Optional access-trace recorder (duck-typed
-        #: :class:`repro.faults.liveness.AccessRecorder`); attached only
-        #: during a recording reference run, ``None`` otherwise so the
-        #: hooks cost a single identity check.
+        #: :class:`repro.faults.liveness.AccessRecorder`, the hooked
+        #: oracle of the access log); ``None`` otherwise so the hooks
+        #: cost a single identity check.
         self.recorder = None
+        #: Optional :class:`AccessLog`, attached during a recording
+        #: reference run; ``None`` otherwise.  Never attached together
+        #: with :attr:`recorder`: the log's chain steps use that slot.
+        self.access_log: Optional[AccessLog] = None
 
     # -- program loading ------------------------------------------------------
     def load(self, program: Program) -> None:
@@ -330,11 +354,14 @@ class CPU:
 
     # -- memory helpers --------------------------------------------------------------
     def _data_read(self, address: int) -> int:
-        if self.recorder is not None:
-            self.recorder.reg_write("mar")
-            self.recorder.reg_write("mdr")
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.reg_write("mar")
+            recorder.reg_write("mdr")
         self.mar = address & _U32
         if self.memory.is_cacheable(address):
+            if recorder is not None:
+                recorder.data_access(address, False)
             value = self.cache.read(address, self.memory)
         else:
             value = self.memory.read_data_word(address)
@@ -342,12 +369,15 @@ class CPU:
         return value
 
     def _data_write(self, address: int, value: int) -> None:
-        if self.recorder is not None:
-            self.recorder.reg_write("mar")
-            self.recorder.reg_write("mdr")
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.reg_write("mar")
+            recorder.reg_write("mdr")
         self.mar = address & _U32
         self.mdr = value & _U32
         if self.memory.is_cacheable(address):
+            if recorder is not None:
+                recorder.data_access(address, True)
             self.cache.write(address, value, self.memory)
         else:
             self.memory.write_data_word(address, value)
@@ -630,7 +660,8 @@ class CPU:
         if self.halted:
             return StepResult.HALTED
         self.last_svc = None
-        execute = self._execute
+        log = self.access_log
+        execute = self._execute if log is None else partial(log.step, self)
         if (
             self.recorder is not None
             or self.trace_hook is not None
@@ -648,8 +679,10 @@ class CPU:
         # Table-driven loop.  Machine state is hoisted into locals for
         # the duration of the call: ``regs`` and the cache line lists are
         # mutated in place, so they need no write-back; scalars are
-        # synced at every exit below.  Nothing inside the loop can attach
-        # a recorder or trace hook, so the check above holds throughout.
+        # synced at every exit below.  Nothing inside the loop leaves a
+        # recorder or trace hook attached (a logging run's chain steps
+        # attach the log for their own instruction only), so the check
+        # above holds throughout.
         # Prefetches go through a temporary (``word``): a fetch that
         # detects leaves ``ir`` holding the executed word, as the
         # reference chain does.
@@ -691,6 +724,14 @@ class CPU:
         build = _entry
         unpack_f = _STRUCT_F.unpack
         pack_i = _STRUCT_I.pack
+        if log is not None:
+            # Logging (see "Access logging" above): the log's entry
+            # lookup reports every word, and with no line reading as
+            # valid every cacheable access takes the log's miss calls.
+            entries_get = log.entry
+            cache_valid = _NO_VALID_LINES
+            miss_read = log.read
+            miss_write = log.write
 
         try:
             for _ in range(max_instructions):
@@ -1506,6 +1547,127 @@ def _miss_write(
     cache.data[line] = value & _U32
     cache.dirty[line] = 1
 
+
+
+#: The line-valid bits a logging run's loop sees: every cacheable access
+#: takes the miss call, which the log replaces with its own.
+_NO_VALID_LINES = (0,) * 32
+
+#: One template entry: ``(register element, is_write, bit mask)``.
+TemplateEntry = Tuple[str, bool, int]
+
+
+class AccessLog:
+    """The compact def/use log of one run on the table-driven loop.
+
+    Attached as :attr:`CPU.access_log` (see "Access logging" in the
+    module docstring).  :mod:`repro.faults.liveness` derives every
+    element's access trace from it offline.  Instruction ``i`` of the
+    run (counting from :attr:`start`) executed ``words[i - start]``.
+
+    Attributes:
+        start: the instruction index the log starts at.
+        words: the word of every executed instruction, in order.
+        access_times: per cacheable data access, the position in
+            :attr:`words` of the instruction that made it.
+        access_addresses: per cacheable data access, its address.
+        access_writes: per cacheable data access, 1 for a write.
+        templates: per executed word, the register, PSW, MAR and MDR
+            accesses of one execution of it, in order, as the reference
+            chain's recorder hooks reported them.
+    """
+
+    __slots__ = (
+        "start",
+        "words",
+        "access_times",
+        "access_addresses",
+        "access_writes",
+        "templates",
+        "now",
+        "_entries",
+        "_template",
+    )
+
+    def __init__(self, start: int = 0) -> None:
+        self.start = start
+        self.words = array("I")
+        self.access_times = array("q")
+        self.access_addresses = array("q")
+        self.access_writes = array("B")
+        self.templates: Dict[int, Tuple[TemplateEntry, ...]] = {}
+        #: Set by the chain's recorder protocol; the log times accesses
+        #: by their position in :attr:`words` instead.
+        self.now = 0
+        #: Table entries of the words whose template is captured.
+        self._entries: Dict[int, _Entry] = {}
+        self._template: List[TemplateEntry] = []
+
+    # -- the table loop's locals ------------------------------------------------
+    def entry(self, word: int) -> _Entry:
+        """The loop's entry lookup: log ``word``, or send a word without
+        a template to the generic arm, which runs :meth:`step`."""
+        entry = self._entries.get(word)
+        if entry is None:
+            return _GENERIC_ENTRY
+        self.words.append(word)
+        return entry
+
+    def read(self, cache, memory, address: int, line: int, tag: int) -> int:
+        """The loop's read-miss call: log the access, then make it (the
+        loop's hit check, else its miss path)."""
+        self.access_times.append(len(self.words) - 1)
+        self.access_addresses.append(address)
+        self.access_writes.append(0)
+        if cache.valid[line] and cache.tags[line] == tag:
+            cache.hits += 1
+            return cache.data[line]
+        return _miss_read(cache, memory, address, line, tag)
+
+    def write(
+        self, cache, memory, address: int, value: int, line: int, tag: int
+    ) -> None:
+        """The loop's write-miss call: log the access, then make it."""
+        self.access_times.append(len(self.words) - 1)
+        self.access_addresses.append(address)
+        self.access_writes.append(1)
+        if cache.valid[line] and cache.tags[line] == tag:
+            cache.hits += 1
+            cache.data[line] = value
+            cache.dirty[line] = 1
+        else:
+            _miss_write(cache, memory, address, value, line, tag)
+
+    def step(self, cpu: "CPU") -> StepResult:
+        """Run one instruction through the reference chain with this log
+        as the recorder: log its word and data access, and capture the
+        word's template.  Detections propagate."""
+        word = cpu.ir & _U32
+        self.words.append(word)
+        template: List[TemplateEntry] = []
+        self._template = template
+        cpu.recorder = self
+        try:
+            result = cpu._execute()
+        finally:
+            cpu.recorder = None
+        self.templates[word] = tuple(template)
+        entry = _ENTRIES.get(word) or _entry(word)
+        if entry is not _GENERIC_ENTRY:
+            self._entries[word] = entry
+        return result
+
+    # -- the reference chain's recorder protocol, during step() ----------------
+    def reg_read(self, element: str, mask: int = _U32) -> None:
+        self._template.append((element, False, mask))
+
+    def reg_write(self, element: str, mask: int = _U32) -> None:
+        self._template.append((element, True, mask))
+
+    def data_access(self, address: int, is_write: bool) -> None:
+        self.access_times.append(len(self.words) - 1)
+        self.access_addresses.append(address)
+        self.access_writes.append(1 if is_write else 0)
 
 
 class BatchEngine:

@@ -23,7 +23,7 @@ from repro.goofi import (
 )
 from repro.goofi.environment import EngineEnvironment
 from repro.goofi.target import TargetSystem
-from repro.analysis.classify import OutcomeCategory
+from repro.analysis.classify import OutcomeCategory, classify_experiment
 from repro.analysis.report import render_outcome_table
 from repro.thor.cpu import FLAG_C, FLAG_Z
 
@@ -182,6 +182,7 @@ class TestRecordedReference:
         )
 
     def test_recorder_detached_after_the_run(self, recorded_target):
+        assert recorded_target.cpu.access_log is None
         assert recorded_target.cpu.recorder is None
         assert recorded_target.cpu.cache.recorder is None
         assert recorded_target.cpu.memory.recorder is None
@@ -247,6 +248,22 @@ class TestCampaignEquivalence:
         assert render_outcome_table(pruned.summary()) == render_outcome_table(
             unpruned.summary()
         )
+
+    def test_outcomes_equal_a_plain_classification(self, pruned):
+        """Results are classified against the reference outputs converted
+        once, and predicted runs without materialising their output
+        view; every outcome still equals, field for field, classifying
+        the run's own output list against the reference list."""
+        assert any(run.predicted for run in pruned.experiments)
+        reference = list(pruned.reference_outputs)
+        for run, outcome in zip(pruned.experiments, pruned.outcomes):
+            detected_by = run.detection.mechanism.value if run.detection else None
+            assert outcome == classify_experiment(
+                observed=list(run.outputs),
+                reference=reference,
+                detected_by=detected_by,
+                final_state_differs=run.final_state_differs,
+            )
 
     def test_simulation_reduction(self, pruned):
         predicted = sum(1 for run in pruned.experiments if run.predicted)

@@ -10,6 +10,7 @@ deterministically through :class:`~repro.goofi.recovery.ChaosSpec`.
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.goofi import (
     config_fingerprint,
     workload_digest,
 )
+from repro.goofi.pool import ReferencePool, WorkerPayload
 from repro.goofi.recovery import ResultSink, check_fingerprint, split_chunk
 from repro.obs import Telemetry, read_events, summarize_events
 
@@ -41,6 +43,11 @@ def _config(workload, **kw):
     kw.setdefault("iterations", 30)
     kw.setdefault("recovery", _policy())
     return CampaignConfig(workload=workload, **kw)
+
+
+def _sigterm_is_default() -> bool:
+    """Run in a pool worker: its SIGTERM disposition is the default."""
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
 
 def _outcome_key(result):
@@ -420,12 +427,14 @@ class TestWorkerRecovery:
         assert len(result.experiments) == 12
 
     def test_pool_exhaustion_carries_on_in_process(
-        self, algorithm_i_compiled, clean_key, tmp_path
+        self, algorithm_i_compiled, clean_key, tmp_path, capfd
     ):
         """With no pool rebuilds allowed, the first worker kill moves the
         rest of the campaign into the parent.  Exit-mode chaos models a
         worker kill, so the second crash of experiment 5 is dropped
-        there instead of killing the parent."""
+        there instead of killing the parent.  The broken pool's
+        surviving worker is stopped with SIGTERM and exits quietly: it
+        does not run the campaign's own SIGTERM handler."""
         chaos = ChaosSpec(marker_dir=str(tmp_path), crashes={5: 2}, mode="exit")
         path = str(tmp_path / "fallback.jsonl")
         config = _config(
@@ -456,6 +465,31 @@ class TestWorkerRecovery:
         assert summary.serial_fallbacks == 1
         assert summary.pool_rebuilds == 0
         assert summary.experiments == 12
+        assert "AbortRequested" not in capfd.readouterr().err
+
+    def test_workers_do_not_inherit_the_sigterm_handler(
+        self, short_reference_target
+    ):
+        """Workers fork while a campaign's SIGTERM handler is installed;
+        they must not keep it, or a SIGTERM from the executor raises
+        AbortRequested inside them."""
+        target = short_reference_target
+        payload = WorkerPayload(
+            workload=target.workload,
+            iterations=target.iterations,
+            watchdog_factor=target.watchdog_factor,
+            environment_factory=type(target.environment),
+            reference=target.reference,
+        )
+        previous = signal.signal(
+            signal.SIGTERM, ScifiCampaign._handle_sigterm
+        )
+        try:
+            with ReferencePool(1) as pool:
+                pool.prepare(payload)
+                assert pool.submit(_sigterm_is_default).result(timeout=60)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_serial_chaos_retries_then_quarantines(
         self, algorithm_i_compiled, clean_key, tmp_path
