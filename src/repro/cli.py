@@ -6,13 +6,12 @@ Usage (also available as ``python -m repro``):
 
     repro campaign  --algorithm II --faults 500 [--database results.db]
                     [--workers 4] [--events events.jsonl] [--metrics]
-                    [--metrics-snapshot metrics.json]
                     [--prune] [--validate-pruning]
                     [--resume CAMPAIGN_ID] [--abort-after N] [--chaos JSON]
     repro obs       [summary] --events events.jsonl [--events more.jsonl]
     repro obs       status --events events.jsonl [--json]
     repro obs       watch  --events events.jsonl [--interval 2] [--once] [--json]
-    repro obs       export [--events events.jsonl] [--snapshot metrics.json]
+    repro obs       export --events events.jsonl
                     [--format prometheus|json] [--output FILE]
     repro serve     --root runs/ [--workers N] [--once] [--ttl 30]
     repro submit    --root runs/ --algorithm II --faults 500
@@ -71,17 +70,14 @@ from repro.obs import (
     CampaignFollower,
     CampaignStatusReducer,
     DEFAULT_STALL_AFTER,
-    MetricsRegistry,
     Telemetry,
     manifest_path_for,
     prometheus_text,
     read_events,
     read_manifest,
-    read_snapshot,
-    registry_from_events,
     render_events_summary,
     render_status,
-    status_metrics,
+    status_registry,
 )
 from repro.plant import ClosedLoop, SAMPLE_TIME, paper_load_profile
 from repro.thor.disassembler import disassemble_program
@@ -145,14 +141,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit("--resume requires --database")
     database = CampaignDatabase(args.database) if args.database else None
     telemetry = None
-    if args.events or args.metrics or args.metrics_snapshot:
+    if args.events or args.metrics:
         try:
             # A resumed campaign appends to the original event log so the
             # combined file carries the run's full history.
             telemetry = Telemetry(
                 events_path=args.events,
+                metrics=args.metrics,
                 append=args.resume is not None,
-                snapshot_path=args.metrics_snapshot,
             )
         except OSError as exc:
             raise SystemExit(f"cannot write {args.events}: {exc.strerror or exc}")
@@ -213,8 +209,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 print(telemetry.tracer.render())
         if args.events:
             print(f"events written to {args.events}")
-        if args.metrics_snapshot:
-            print(f"metrics snapshot at {args.metrics_snapshot}")
     if database is not None:
         print(f"stored in {args.database}")
     return 0
@@ -476,35 +470,14 @@ def _obs_watch(args: argparse.Namespace, paths: List[str]) -> int:
 
 
 def _obs_export(args: argparse.Namespace, paths: List[str]) -> int:
-    if not paths and not args.snapshot:
-        raise SystemExit("repro obs export: provide --events and/or --snapshot")
-    registry = MetricsRegistry()
-    snapshot_ts = None
-    if args.snapshot:
-        try:
-            snapshot_ts, snapped = read_snapshot(args.snapshot)
-        except OSError as exc:
-            raise SystemExit(f"cannot read {args.snapshot}: {exc.strerror or exc}")
-        except ObservabilityError as exc:
-            raise SystemExit(str(exc))
-        registry.merge(snapped)
-    if paths:
-        records: List[Dict[str, object]] = []
-        for follower in (CampaignFollower(path) for path in paths):
-            records.extend(follower.poll())
-        if not args.snapshot:
-            # No live registry available: rebuild the classification
-            # counters from the stream itself.
-            registry.merge(registry_from_events(records))
-        reducer = args._reducer
-        reducer.fold_many(records)
-        registry.merge(status_metrics(reducer.status(now=time.time())))
+    status = _fold_status([CampaignFollower(path) for path in paths], args)
+    registry = status_registry(status)
     if args.format == "prometheus":
         text = prometheus_text(registry)
     else:
         text = (
             json.dumps(
-                {"ts": snapshot_ts, "metrics": registry.to_dict()},
+                {"ts": status.last_event_ts, "metrics": registry.to_dict()},
                 sort_keys=True,
                 indent=2,
             )
@@ -521,8 +494,8 @@ def _obs_export(args: argparse.Namespace, paths: List[str]) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     paths = _expand_event_paths(args.events or [])
-    if not paths and args.mode != "export":
-        raise SystemExit("repro obs: --events is required")
+    if not paths:
+        raise SystemExit(f"repro obs {args.mode}: provide --events")
     # One reducer per invocation, shared by the poll helpers so `watch`
     # folds incrementally across frames.
     args._reducer = CampaignStatusReducer(stall_after=args.stall_after)
@@ -730,14 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--metrics",
         action="store_true",
-        help="collect and print the campaign metrics registry",
-    )
-    campaign.add_argument(
-        "--metrics-snapshot",
-        default=None,
-        metavar="PATH",
-        help="periodically dump the metrics registry to this JSON file "
-        "so 'repro obs export' can scrape the running campaign",
+        help="fold the campaign's events into metrics and print them",
     )
     campaign.add_argument(
         "--validate-pruning",
@@ -909,13 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="seconds without a heartbeat before a worker (or the "
         f"campaign) is reported stalled (default: {DEFAULT_STALL_AFTER:g})",
-    )
-    obs.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="PATH",
-        help="export: metrics snapshot file written by "
-        "'repro campaign --metrics-snapshot'",
     )
     obs.add_argument(
         "--format",

@@ -78,7 +78,6 @@ from repro.goofi.recovery import (
 from repro.goofi.target import ExperimentRun, ReferenceRun, TargetSystem
 from repro.goofi.workqueue import LeasedJob, MemoryQueue, WorkQueue
 from repro.obs.events import EventLog, merge_event_shards, now
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.status import write_manifest
 from repro.obs.telemetry import (
     Telemetry,
@@ -86,7 +85,6 @@ from repro.obs.telemetry import (
     campaign_started_event,
     experiment_event,
     heartbeat_event,
-    record_outcome,
 )
 from repro.plant.profiles import ITERATIONS
 from repro.tcc.codegen import CompiledProgram
@@ -254,25 +252,21 @@ def _run_chunk(args, target: Optional[TargetSystem] = None):
     instruction.
 
     The parent records every result (database row, ``experiment_finished``
-    event, outcome counters, progress), so a chunk keeps only what is
-    local to the process that ran it.  With metrics on, the target's own
-    instruments (histograms, EDM firings) record into a fresh
-    :class:`~repro.obs.MetricsRegistry`, returned as a dict for the
-    parent to merge.  With events on, the chunk writes a shard file of
+    event, progress), so a chunk keeps only what is local to the process
+    that ran it.  With events on, the chunk writes a shard file of
     its own — worker processes never share a file descriptor — holding a
     ``worker_heartbeat`` every ``heartbeat_every`` experiments and at
     chunk end (flushed, so a live ``repro obs status`` poll sees
     per-worker progress and throughput while the chunk runs) and the
     chunk's ``dataplane_stats``.
 
-    Returns ``(results, registry_dict, seconds)`` where ``results`` holds
+    Returns ``(results, seconds)`` where ``results`` holds
     ``(plan index, run, outcome)`` triples.
     """
     (
         chunk,
         submission_id,
         shard_path,
-        metrics_enabled,
         early_exit,
         chaos,
         heartbeat_every,
@@ -282,14 +276,12 @@ def _run_chunk(args, target: Optional[TargetSystem] = None):
         target = worker_target()
     elif chaos is not None and chaos.mode == "exit":
         chaos = None
-    registry = MetricsRegistry() if metrics_enabled else None
     events = EventLog(shard_path) if shard_path else None
     started = time.perf_counter()
     results = []
     # A worker process outlives this chunk, and so does the campaign's
-    # own target; reset the metrics binding (and the per-chunk batch
-    # size) afterwards so neither leaks into the next chunk or phase.
-    target.metrics = registry
+    # own target; reset the per-chunk batch size afterwards so it does
+    # not leak into the next chunk or phase.
     previous_batch = target.batch_size
     target.batch_size = max(1, int(batch_size))
     try:
@@ -322,22 +314,16 @@ def _run_chunk(args, target: Optional[TargetSystem] = None):
                     events.flush()
         # Delta-restore counters accumulated over this chunk.  These are
         # schedule-dependent (they vary with chunk composition), so they
-        # travel as shard events, never through the metrics registry
+        # travel as shard events and stay out of the metrics registry,
         # whose serial/parallel equality is a tested invariant.
         stats = target.take_dataplane_stats()
         if events is not None and stats is not None:
             events.emit("dataplane_stats", ts=now(), worker=submission_id, **stats)
     finally:
-        target.metrics = None
         target.batch_size = previous_batch
         if events is not None:
             events.close()
-    seconds = time.perf_counter() - started
-    return (
-        results,
-        registry.to_dict() if registry is not None else None,
-        seconds,
-    )
+    return results, time.perf_counter() - started
 
 
 class ScifiCampaign:
@@ -425,8 +411,8 @@ class ScifiCampaign:
                 results are bit-identical (every experiment is
                 independent and fully determined by its fault).
             telemetry: optional :class:`~repro.obs.Telemetry` bundle.
-                When given, the run records phase spans, per-experiment
-                metrics and JSONL events; per-chunk registries/shards
+                When given, the run records phase spans and JSONL
+                events, and folds its events into metrics; worker shards
                 are merged so serial and parallel runs report identical
                 aggregate telemetry.  ``None`` (default) is a no-op.
             pool: optional :class:`~repro.goofi.pool.ReferencePool` to
@@ -571,8 +557,8 @@ class ScifiCampaign:
         """(Re)write the campaign's ``manifest.json`` sidecar.
 
         The manifest maps the event stream back to its identity and
-        artifacts — config fingerprint, seed, campaign id, database and
-        snapshot paths — so ``repro obs status`` (and the service tier
+        artifacts — config fingerprint, seed, campaign id, event log and
+        database paths — so ``repro obs status`` (and the service tier
         above it) can correlate a log with its stored results without
         parsing either.
         """
@@ -597,11 +583,6 @@ class ScifiCampaign:
                     "database": (
                         self.database.path if self.database is not None else None
                     ),
-                    "metrics_snapshot": (
-                        telemetry.snapshotter.path
-                        if telemetry.snapshotter is not None
-                        else None
-                    ),
                 },
             },
         )
@@ -620,17 +601,14 @@ class ScifiCampaign:
         with span("campaign"):
             with span("reference_run"):
                 reference = self.target.run_reference(record_access=config.prune)
-                if telemetry is not None and telemetry.metrics is not None:
-                    telemetry.metrics.gauge("reference_instructions").set(
-                        reference.total_instructions
-                    )
-                    # What one worker initialisation would ship.  Set in
-                    # _run_phases (not the worker fan-out) so serial and
-                    # parallel registries stay identical — a tested
-                    # invariant.
-                    telemetry.metrics.gauge("reference_payload_bytes").set(
-                        len(pickle.dumps(reference))
-                    )
+                if telemetry is not None:
+                    costs = {"instructions": reference.total_instructions}
+                    if telemetry.reducer is not None:
+                        # What one worker initialisation would ship;
+                        # measured here, not in the worker fan-out, so
+                        # serial and parallel runs report it alike.
+                        costs["payload_bytes"] = len(pickle.dumps(reference))
+                    telemetry.emit("reference_run", ts=now(), **costs)
             with span("set_up"):
                 plan, partition_sizes = self._sample_plan(model, reference)
 
@@ -647,10 +625,6 @@ class ScifiCampaign:
                         )
                         campaign_id = resume_from
                         if telemetry is not None:
-                            if telemetry.metrics is not None:
-                                telemetry.metrics.counter(
-                                    "resumed_experiments"
-                                ).inc(len(resumed_results))
                             telemetry.emit(
                                 "campaign_resumed",
                                 ts=now(),
@@ -700,16 +674,6 @@ class ScifiCampaign:
                             run,
                             self._classify(run, reference_outputs),
                         )
-                    if telemetry is not None and telemetry.metrics is not None:
-                        for _i, _f, classification in pruned.predicted:
-                            telemetry.metrics.counter(
-                                "pruned_experiments",
-                                prediction=classification.value,
-                            ).inc()
-            if telemetry is not None and telemetry.metrics is not None:
-                telemetry.metrics.counter("simulated_experiments").inc(
-                    len(live_plan)
-                )
 
             started = time.perf_counter()
             with span("injection"):
@@ -848,18 +812,18 @@ class ScifiCampaign:
 
         **Recording.**  Results are released in plan order as the
         plan-order prefix completes: each gets its database row, its
-        ``experiment_finished`` event in the main log, its outcome
-        counters and its ``progress`` call, so the stored rows, the
-        event log and the progress count always agree on the same
-        prefix — an interrupted run resumes to a complete, ordered
-        history.  Resumed results only count toward ``progress``.
+        ``experiment_finished`` event (written to the main log and folded
+        into the telemetry's metrics) and its ``progress`` call, so the
+        stored rows, the event log and the progress count always agree
+        on the same prefix — an interrupted run resumes to a complete,
+        ordered history.  Resumed results only count toward
+        ``progress``.
         """
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
         config = self.config
         policy = config.recovery
-        metrics = telemetry.metrics if telemetry is not None else None
         reference_outputs = self.target.reference.outputs
         payload = WorkerPayload(
             workload=config.workload,
@@ -910,10 +874,6 @@ class ScifiCampaign:
         submission = 0
         rebuilds = 0
 
-        def counter_inc(name: str, amount: int = 1) -> None:
-            if metrics is not None:
-                metrics.counter(name).inc(amount)
-
         def emit(event: str, **payload_kv) -> None:
             if telemetry is not None:
                 telemetry.emit(event, **payload_kv)
@@ -926,8 +886,6 @@ class ScifiCampaign:
                 run, outcome = results[index]
                 if index not in resumed:
                     sink.add(index, run, outcome)
-                    if metrics is not None:
-                        record_outcome(metrics, run, outcome)
                     if telemetry is not None:
                         telemetry.emit(
                             "experiment_finished",
@@ -940,7 +898,6 @@ class ScifiCampaign:
         def quarantine(index, fault) -> None:
             run = quarantined_run(fault, reference_outputs)
             results[index] = (run, self._classify(run, reference_outputs))
-            counter_inc("quarantined_experiments")
             emit(
                 "experiment_quarantined",
                 ts=now(),
@@ -976,8 +933,6 @@ class ScifiCampaign:
                 index, fault = verdict.items[0]
                 quarantine(index, fault)
                 return
-            counter_inc("requeued_chunks")
-            counter_inc("retries", len(job.items))
             emit(
                 "chunk_requeued",
                 ts=now(),
@@ -1011,7 +966,6 @@ class ScifiCampaign:
                 job.items,
                 submission,
                 shard,
-                metrics is not None,
                 config.early_exit,
                 config.chaos,
                 policy.heartbeat_every,
@@ -1041,7 +995,6 @@ class ScifiCampaign:
             if pool.prepare(payload):
                 # A warm pool was torn down because its workers were
                 # built for an incompatible payload — surface the cost.
-                counter_inc("pool_respawns")
                 emit(
                     "worker_pool_respawned",
                     ts=now(),
@@ -1103,7 +1056,7 @@ class ScifiCampaign:
                     for future in done_set:
                         job, chunk_submission, shard = active.pop(future)
                         try:
-                            chunk_result, registry_dict, seconds = future.result()
+                            chunk_result, seconds = future.result()
                         except BrokenProcessPool:
                             broken = True
                             handle_failure(
@@ -1152,8 +1105,6 @@ class ScifiCampaign:
                                     size=new_size,
                                     rate=rate,
                                 )
-                        if registry_dict is not None:
-                            metrics.merge(MetricsRegistry.from_dict(registry_dict))
                         if shard is not None:
                             shards.append((chunk_submission, shard))
                         emit(
@@ -1166,9 +1117,8 @@ class ScifiCampaign:
                     release_prefix()
                     sink.flush()
                     if telemetry is not None:
-                        # Chunk boundary: push the live surface (event
-                        # flush + due metrics snapshot) so status polls
-                        # see this chunk.
+                        # Chunk boundary: flush the event log so status
+                        # polls see this chunk.
                         telemetry.checkpoint()
                 if broken:
                     # The pool is unusable: every in-flight chunk is

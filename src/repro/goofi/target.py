@@ -61,11 +61,10 @@ from repro.goofi.dataplane import (
 )
 from repro.goofi.environment import EngineEnvironment
 from repro.tcc.codegen import CompiledProgram
-from repro.obs.metrics import DETECTION_LATENCY_BUCKETS, INSTRUCTIONS_BUCKETS
 from repro.plant.engine import EngineModel
 from repro.thor.cache import LINES
 from repro.thor.cpu import CPU, PSW_MASK, AccessLog, BatchEngine, StepResult
-from repro.thor.edm import DetectionEvent, add_detection_listener
+from repro.thor.edm import DetectionEvent
 from repro.thor.isa import NUM_GPRS
 from repro.thor.scanchain import ScanChain
 
@@ -421,7 +420,6 @@ class TargetSystem:
         iterations: int = 650,
         watchdog_factor: float = 10.0,
         warm_start: bool = True,
-        metrics=None,
         batch_size: int = 1,
         environment_factory: Optional[Callable[[], EngineEnvironment]] = None,
         delta_dataplane: bool = True,
@@ -463,33 +461,6 @@ class TargetSystem:
         #: :meth:`run_reference` with ``record_access=True`` (used by the
         #: campaign's fault pruning); ``None`` otherwise.
         self.liveness: Optional[LivenessMap] = None
-        self._metrics = None
-        self._remove_metrics_listener: Optional[Callable[[], None]] = None
-        self.metrics = metrics
-
-    @property
-    def metrics(self):
-        """Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        set, every experiment records its instruction count, detection
-        latency and EDM firings (None: zero-overhead no-op)."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        # One EDM listener per campaign, registered here rather than per
-        # experiment: the detection-listener list is global, so owners
-        # must set ``metrics = None`` when the campaign finishes.
-        if self._remove_metrics_listener is not None:
-            self._remove_metrics_listener()
-            self._remove_metrics_listener = None
-        self._metrics = registry
-        if registry is not None:
-            def _count_detection(event: DetectionEvent) -> None:
-                registry.counter(
-                    "edm_firings", mechanism=event.mechanism.value
-                ).inc()
-
-            self._remove_metrics_listener = add_detection_listener(_count_detection)
 
     def boundary_hash(self) -> bytes:
         """The full-state digest at the current iteration boundary."""
@@ -624,9 +595,8 @@ class TargetSystem:
         """Put one machine at a reference boundary.
 
         Seat costs accumulate on the cursor (drained by
-        :meth:`take_dataplane_stats`) rather than in the metrics
-        registry: they depend on the visit schedule, and worker-merged
-        registries must stay equal to a serial run's.
+        :meth:`take_dataplane_stats`): they depend on the visit
+        schedule, so they stay out of the per-experiment record.
         """
         if cursor is None:
             snapshot = reference.snapshots[boundary]
@@ -672,29 +642,6 @@ class TargetSystem:
         self, fault: FaultDescriptor, early_exit: bool = True
     ) -> ExperimentRun:
         """Inject one fault and observe the run to its termination."""
-        run = self._execute_experiment(fault, early_exit)
-        self._record_metrics(run)
-        return run
-
-    def _record_metrics(self, run: ExperimentRun) -> None:
-        metrics = self._metrics
-        if metrics is None:
-            return
-        metrics.histogram(
-            "instructions_per_experiment", INSTRUCTIONS_BUCKETS
-        ).observe(run.instructions_executed)
-        if run.detection is not None:
-            metrics.histogram(
-                "detection_latency_instructions", DETECTION_LATENCY_BUCKETS
-            ).observe(run.detection.instruction_index - run.fault.time)
-        if run.early_exit_iteration is not None:
-            metrics.counter("early_exits").inc()
-        if run.timed_out:
-            metrics.counter("timeouts").inc()
-
-    def _execute_experiment(
-        self, fault: FaultDescriptor, early_exit: bool = True
-    ) -> ExperimentRun:
         reference = self.reference
         if reference is None:
             raise CampaignError("run_reference() must come first")
@@ -907,7 +854,6 @@ class TargetSystem:
                     else:
                         slot[4] = k + 1
                 if done:
-                    self._record_metrics(run)
                     results[slot[1]] = run  # type: ignore[index]
                     active.remove(slot)
                     free.append(lane)

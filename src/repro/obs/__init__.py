@@ -1,17 +1,21 @@
 """Observability for fault-injection campaigns.
 
-Three primitives, bundled by :class:`Telemetry` and threaded through
-:meth:`repro.goofi.campaign.ScifiCampaign.run`:
+Everything a campaign reports flows through one event stream:
 
-* :class:`MetricsRegistry` — counters, gauges and fixed-bucket
-  histograms with a lossless :meth:`~MetricsRegistry.merge` so
-  per-worker registries aggregate exactly;
-* :class:`Tracer` — nested ``span("injection")``-style phase timings;
 * :class:`EventLog` — schema-versioned JSONL event records, safe for
-  worker processes via per-worker shard files.
+  worker processes via per-worker shard files;
+* :class:`CampaignStatusReducer` — the one fold of that stream into a
+  :class:`CampaignStatus` (progress, health, outcome counts per class
+  and mechanism, histograms, recovery counters);
+* :func:`status_registry` — the one function that builds a
+  :class:`MetricsRegistry` from a status: ``repro campaign --metrics``
+  and the Prometheus export (:func:`prometheus_text`) both read it;
+* :class:`Tracer` — nested ``span("injection")``-style phase timings.
 
-Everything is opt-in: a campaign run without a telemetry bundle takes
-one ``is None`` branch per hook and allocates nothing.
+:class:`Telemetry` bundles them for
+:meth:`repro.goofi.campaign.ScifiCampaign.run`.  Everything is opt-in: a
+campaign run without a telemetry bundle takes one ``is None`` branch
+per hook and allocates nothing.
 """
 
 from repro.obs.events import (
@@ -22,15 +26,7 @@ from repro.obs.events import (
     parse_event_line,
     read_events,
 )
-from repro.obs.export import (
-    MetricsSnapshotter,
-    parse_metric_key,
-    prometheus_text,
-    read_snapshot,
-    registry_from_events,
-    status_metrics,
-    write_snapshot,
-)
+from repro.obs.export import parse_metric_key, prometheus_text, status_registry
 from repro.obs.follow import CampaignFollower, EventFollower
 from repro.obs.metrics import (
     Counter,
@@ -52,18 +48,13 @@ from repro.obs.status import (
     render_status,
     write_manifest,
 )
-from repro.obs.summary import (
-    EventSummary,
-    render_events_summary,
-    summarize_events,
-)
+from repro.obs.summary import render_events_summary
 from repro.obs.telemetry import (
     Telemetry,
     campaign_finished_event,
     campaign_started_event,
     experiment_event,
     heartbeat_event,
-    record_outcome,
 )
 from repro.obs.trace import Span, Tracer
 
@@ -78,12 +69,10 @@ __all__ = [
     "EVENT_TYPES",
     "EventFollower",
     "EventLog",
-    "EventSummary",
     "Gauge",
     "Histogram",
     "INSTRUCTIONS_BUCKETS",
     "MetricsRegistry",
-    "MetricsSnapshotter",
     "SCHEMA_VERSION",
     "Span",
     "Telemetry",
@@ -101,13 +90,8 @@ __all__ = [
     "prometheus_text",
     "read_events",
     "read_manifest",
-    "read_snapshot",
-    "record_outcome",
-    "registry_from_events",
     "render_events_summary",
     "render_status",
-    "status_metrics",
-    "summarize_events",
+    "status_registry",
     "write_manifest",
-    "write_snapshot",
 ]

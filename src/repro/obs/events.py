@@ -6,6 +6,9 @@ by a campaign are
 
 * ``campaign_started`` — configuration echo (name, faults, seed,
   iterations, partitions, workers) plus a wall-clock ``ts``;
+* ``reference_run`` — once per run, after the fault-free reference:
+  its ``instructions`` and, when the run collects metrics, the
+  ``payload_bytes`` one worker initialisation would ship;
 * ``experiment_finished`` — one per experiment, **deterministic** (no
   timestamp): plan ``index``, fault target (partition/element/bit),
   ``injection_time``, outcome ``category``, detecting ``mechanism``,
@@ -40,7 +43,9 @@ crash-safety machinery acts:
   and was recorded with ``provenance='quarantined'`` (``index``);
 * ``worker_pool_rebuilt`` — the process pool broke and was respawned;
 * ``serial_fallback`` — pool rebuilds were exhausted and the remaining
-  chunks ran in the parent (``experiments``).
+  chunks ran in the parent (``experiments``);
+* ``worker_pool_respawned`` — a warm pool built for an incompatible
+  payload was torn down before the run (``reason``).
 
 Work-queue events (the lease-based dispatch layer shared by every
 campaign's chunk loop and the campaign service, see
@@ -54,9 +59,9 @@ campaign's chunk loop and the campaign service, see
   (``job``, ``state`` of ``requeued``/``split``/``exhausted``,
   ``attempt``, ``experiments``).
 
-Data-plane diagnostics (``docs/performance.md``) are schedule-dependent
-and therefore live in the event stream, never in the metrics registry
-(whose serial/parallel equality is a tested invariant):
+Data-plane diagnostics (``docs/performance.md``) are schedule-dependent,
+so the status reports them but the metrics registry (whose
+serial/parallel equality is a tested invariant) does not:
 
 * ``dataplane_stats`` — delta-restore counters drained after one
   chunk (``worker``, ``restore_words_touched``,
@@ -95,15 +100,16 @@ EVENT_TYPES = (
     "experiment_quarantined",
     "worker_pool_rebuilt",
     "serial_fallback",
+    "worker_pool_respawned",
     # No longer emitted; kept so event logs written before equivalence
     # collapse was removed still parse.
     "equivalence_collapse",
-    "worker_pool_respawned",
     "dataplane_stats",
     "chunk_resized",
     "lease_granted",
     "lease_expired",
     "job_state",
+    "reference_run",
 )
 
 

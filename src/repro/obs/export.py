@@ -1,38 +1,27 @@
-"""Exporting campaign metrics: Prometheus text format and snapshots.
+"""Metrics from the event fold, and their Prometheus text rendering.
 
-Two consumers need the :class:`~repro.obs.metrics.MetricsRegistry`
-outside the producing process:
-
-* a scrape endpoint — :func:`prometheus_text` renders a registry in the
-  Prometheus text exposition format (version 0.0.4), with the
-  repository's ``name{a=b}`` instrument keys mapped onto ``repro_``-
-  prefixed metric families and proper label escaping;
-* a live poller — :class:`MetricsSnapshotter` periodically dumps the
-  registry as an atomic JSON file next to the event log, so ``repro obs
-  export`` (and later the service tier) can expose a *running*
-  campaign's metrics without sharing its process.
-
-For event files recorded without a snapshot, :func:`registry_from_events`
-rebuilds the classification counters from the stream, and
-:func:`status_metrics` gauges a :class:`~repro.obs.status.CampaignStatus`
-snapshot (progress, ETA, worker health) so one scrape carries both.
+:func:`status_registry` is the one function that builds a
+:class:`~repro.obs.metrics.MetricsRegistry`: it turns a
+:class:`~repro.obs.status.CampaignStatus` — the fold of a campaign's
+event stream — into counters, histograms and gauges.  ``repro campaign
+--metrics`` prints the registry built from the records the campaign
+emitted; ``repro obs export`` builds it from event files and adds the
+progress gauges (``campaign_*``) of the status snapshot, then
+:func:`prometheus_text` renders it in the Prometheus text exposition
+format (version 0.0.4), with the repository's ``name{a=b}`` instrument
+keys mapped onto ``repro_``-prefixed metric families and proper label
+escaping.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import tempfile
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.status import CampaignStatus
-
-#: Version stamped into every metrics snapshot file.
-SNAPSHOT_VERSION = 1
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
@@ -145,133 +134,65 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "repro_") -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- periodic snapshot files ----------------------------------------------------
-def write_snapshot(path: str, registry: MetricsRegistry, ts: Optional[float] = None) -> None:
-    """Atomically write one metrics snapshot file."""
-    payload = {
-        "snapshot_version": SNAPSHOT_VERSION,
-        "ts": time.time() if ts is None else ts,
-        "metrics": registry.to_dict(),
-    }
-    directory = os.path.dirname(os.path.abspath(path))
-    handle, temp = tempfile.mkstemp(prefix=".metrics-", dir=directory)
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as file:
-            json.dump(payload, file, sort_keys=True)
-            file.write("\n")
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.remove(temp)
-        except OSError:
-            pass
-        raise
+# -- metrics from a status ------------------------------------------------------
+#: The state gauge's encoding of :attr:`CampaignStatus.state`.
+_STATE_VALUES = {"running": 1, "finished": 2, "aborted": 3, "stalled": 4}
 
 
-def read_snapshot(path: str) -> Tuple[float, MetricsRegistry]:
-    """Read a snapshot file back into ``(ts, registry)``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("snapshot_version") != SNAPSHOT_VERSION:
-        raise ObservabilityError(
-            f"{path}: not a metrics snapshot (snapshot_version "
-            f"{payload.get('snapshot_version')!r}, supported {SNAPSHOT_VERSION})"
-        )
-    return float(payload["ts"]), MetricsRegistry.from_dict(payload["metrics"])
+def status_registry(status: CampaignStatus, progress: bool = True) -> MetricsRegistry:
+    """The metrics of one campaign status snapshot.
 
-
-class MetricsSnapshotter:
-    """Rate-limited snapshot writer the campaign calls at chunk boundaries.
-
-    ``maybe_write`` is cheap to call often: it re-serialises the registry
-    only when ``every`` seconds have passed since the last write (or when
-    forced, e.g. at campaign end/abort so the final state is never
-    stale).
-    """
-
-    def __init__(
-        self,
-        path: str,
-        every: float = 2.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.path = path
-        self.every = every
-        self._clock = clock
-        self._last: Optional[float] = None
-        self.writes = 0
-
-    def maybe_write(self, registry: Optional[MetricsRegistry], force: bool = False) -> bool:
-        """Write a snapshot if due; returns whether one was written."""
-        if registry is None:
-            return False
-        now = self._clock()
-        if not force and self._last is not None and now - self._last < self.every:
-            return False
-        write_snapshot(self.path, registry)
-        self._last = now
-        self.writes += 1
-        return True
-
-
-# -- deriving metrics from other telemetry --------------------------------------
-def registry_from_events(events: Sequence[Dict[str, object]]) -> MetricsRegistry:
-    """Rebuild the classification counters from an event stream.
-
-    Covers campaigns recorded with ``--events`` but without a metrics
-    snapshot: ``experiments``/``detections`` counters and the recovery
-    counters are reconstructed exactly; target-internal histograms
-    (latency, instructions) exist only in a real registry and are not
-    recoverable here.
+    Always: the per-experiment counters and histograms folded from
+    ``experiment_finished``, the recovery counters, and the reference
+    gauges.  These are deterministic for a plan, so serial and parallel
+    runs build identical registries.  ``progress`` adds the
+    ``campaign_*`` gauges of the snapshot itself (progress, rate, ETA,
+    worker health), which depend on time and schedule.
     """
     registry = MetricsRegistry()
-    seen_indices: set = set()
-    for record in events:
-        kind = record.get("event")
-        if kind == "experiment_finished":
-            index = record.get("index")
-            if index in seen_indices:
-                continue
-            seen_indices.add(index)
+    for partition, counts in status.partition_counts.items():
+        for category, count in counts.items():
             registry.counter(
-                "experiments",
-                partition=str(record.get("partition")),
-                category=str(record.get("category")),
-            ).inc()
-            mechanism = record.get("mechanism")
-            if mechanism is not None:
-                registry.counter("detections", mechanism=str(mechanism)).inc()
-            if record.get("pruned"):
-                registry.counter("pruned_experiments").inc()
-        elif kind == "chunk_requeued":
-            registry.counter("requeued_chunks").inc()
-            registry.counter("retries").inc(int(record.get("experiments", 0)))
-        elif kind == "experiment_quarantined":
-            registry.counter("quarantined_experiments").inc()
-        elif kind == "worker_pool_rebuilt":
-            registry.counter("worker_pool_rebuilds").inc()
-        elif kind == "serial_fallback":
-            registry.counter("serial_fallbacks").inc()
-        elif kind == "campaign_resumed":
-            registry.counter("resumed_experiments").inc(
-                int(record.get("completed", 0))
+                "experiments", partition=partition, category=category
+            ).inc(count)
+    for mechanism, count in status.mechanism_counts.items():
+        registry.counter("detections", mechanism=mechanism).inc(count)
+    for prediction, count in status.pruned_counts.items():
+        registry.counter("pruned_experiments", prediction=prediction).inc(count)
+    for name, value in (
+        ("simulated_experiments", status.simulated),
+        ("early_exits", status.early_exits),
+        ("timeouts", status.timeouts),
+        ("resumed_experiments", status.resumed),
+        ("quarantined_experiments", status.quarantined),
+        ("requeued_chunks", status.requeued_chunks),
+        ("retries", status.retried_experiments),
+        ("worker_pool_rebuilds", status.pool_rebuilds),
+        ("serial_fallbacks", status.serial_fallbacks),
+        ("pool_respawns", status.pool_respawns),
+    ):
+        if value:
+            registry.counter(name).inc(value)
+    for name, histogram in (
+        ("detection_latency_instructions", status.detection_latency),
+        ("instructions_per_experiment", status.instructions),
+    ):
+        if histogram.count:
+            registry.histograms[name] = replace(
+                histogram, counts=list(histogram.counts)
             )
-    return registry
-
-
-def status_metrics(status: CampaignStatus) -> MetricsRegistry:
-    """Gauge a status snapshot (progress, rate, health) for scraping."""
-    registry = MetricsRegistry()
+    if status.reference_instructions is not None:
+        registry.gauge("reference_instructions").set(status.reference_instructions)
+    if status.reference_payload_bytes is not None:
+        registry.gauge("reference_payload_bytes").set(status.reference_payload_bytes)
+    if not progress:
+        return registry
     registry.gauge("campaign_experiments_total").set(status.total)
     registry.gauge("campaign_experiments_done").set(status.done)
     registry.gauge("campaign_experiments_pruned").set(status.pruned)
     registry.gauge("campaign_experiments_resumed").set(status.resumed)
     registry.gauge("campaign_workers").set(status.workers)
-    state_values = {"running": 1, "finished": 2, "aborted": 3, "stalled": 4}
-    registry.gauge("campaign_state").set(state_values.get(status.state, 0))
+    registry.gauge("campaign_state").set(_STATE_VALUES.get(status.state, 0))
     if status.throughput is not None:
         registry.gauge("campaign_throughput_experiments_per_second").set(
             status.throughput

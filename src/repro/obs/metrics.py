@@ -1,22 +1,21 @@
 """Campaign metrics: counters, gauges, and fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is the numeric half of the observability
-layer.  Campaign code records into it through three instrument kinds:
+layer, holding three instrument kinds:
 
 * **counters** — monotonically increasing event counts (experiments per
-  outcome category, EDM firings per mechanism, early exits, timeouts);
+  outcome category, detections per mechanism, early exits, timeouts);
 * **gauges** — last-observed values (reference-run instruction count);
 * **histograms** — fixed-bucket distributions (detection latency in
   instructions, dynamic instructions per experiment).
 
 Instruments are identified by a name plus optional labels; the same
 ``name{label=value}`` key always resolves to the same instrument.
-Registries are designed for the parallel campaign path: each worker
-process records into its own registry, and :meth:`MetricsRegistry.merge`
-folds the worker registries into the parent's losslessly — counters and
-histogram buckets add, gauges take the maximum (the only commutative,
-order-independent choice that needs no per-sample history), so a merged
-run is indistinguishable from the same experiments recorded serially.
+Campaign code does not record into a registry directly: every registry
+is built from one fold of the campaign's event stream
+(:func:`repro.obs.export.status_registry` over a
+:class:`~repro.obs.status.CampaignStatus`), so serial and parallel runs,
+the ``--metrics`` print and the Prometheus export agree by construction.
 """
 
 from __future__ import annotations
@@ -70,29 +69,16 @@ class Counter:
             raise ObservabilityError("counters only increase")
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
 
 @dataclass
 class Gauge:
-    """A last-observed value.
-
-    Merging two gauges takes the maximum of the set values: unlike
-    counters there is no lossless union of two "last" observations, and
-    the maximum is the only aggregate that is commutative, associative
-    and independent of worker completion order.
-    """
+    """A last-observed value."""
 
     value: Optional[float] = None
 
     def set(self, value: float) -> None:
         """Record ``value`` as the current observation."""
         self.value = float(value)
-
-    def merge(self, other: "Gauge") -> None:
-        if other.value is not None:
-            self.value = other.value if self.value is None else max(self.value, other.value)
 
 
 @dataclass
@@ -101,7 +87,7 @@ class Histogram:
 
     ``buckets`` holds ascending upper bounds; ``counts`` has one slot per
     bound plus a final overflow slot.  Count, sum, min and max are kept
-    exactly, so merged histograms equal a serially recorded one.
+    exactly.
     """
 
     buckets: Tuple[float, ...]
@@ -137,22 +123,6 @@ class Histogram:
     def mean(self) -> Optional[float]:
         """Arithmetic mean of the recorded samples (None when empty)."""
         return self.total / self.count if self.count else None
-
-    def merge(self, other: "Histogram") -> None:
-        if tuple(other.buckets) != tuple(self.buckets):
-            raise ObservabilityError(
-                f"cannot merge histograms with buckets {other.buckets!r} "
-                f"into {self.buckets!r}"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.total += other.total
-        for theirs in (other.minimum,):
-            if theirs is not None:
-                self.minimum = theirs if self.minimum is None else min(self.minimum, theirs)
-        for theirs in (other.maximum,):
-            if theirs is not None:
-                self.maximum = theirs if self.maximum is None else max(self.maximum, theirs)
 
 
 class MetricsRegistry:
@@ -202,30 +172,7 @@ class MetricsRegistry:
             )
         return instrument
 
-    # -- aggregation -----------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry losslessly (see module doc)."""
-        for key, counter in other.counters.items():
-            self.counter_by_key(key).merge(counter)
-        for key, gauge in other.gauges.items():
-            existing = self.gauges.get(key)
-            if existing is None:
-                existing = self.gauges[key] = Gauge()
-            existing.merge(gauge)
-        for key, histogram in other.histograms.items():
-            existing = self.histograms.get(key)
-            if existing is None:
-                existing = self.histograms[key] = Histogram(buckets=histogram.buckets)
-            existing.merge(histogram)
-
-    def counter_by_key(self, key: str) -> Counter:
-        """The counter stored under a pre-built ``name{labels}`` key."""
-        instrument = self.counters.get(key)
-        if instrument is None:
-            instrument = self.counters[key] = Counter()
-        return instrument
-
-    # -- serialisation (worker processes return dicts) ------------------------
+    # -- serialisation ---------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """A picklable/JSON-able snapshot of every instrument."""
         return {
@@ -243,25 +190,6 @@ class MetricsRegistry:
                 for k, h in self.histograms.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_dict` output."""
-        registry = cls()
-        for key, value in payload.get("counters", {}).items():
-            registry.counters[key] = Counter(value=int(value))
-        for key, value in payload.get("gauges", {}).items():
-            registry.gauges[key] = Gauge(value=None if value is None else float(value))
-        for key, spec in payload.get("histograms", {}).items():
-            registry.histograms[key] = Histogram(
-                buckets=tuple(spec["buckets"]),
-                counts=list(spec["counts"]),
-                count=int(spec["count"]),
-                total=float(spec["total"]),
-                minimum=spec["min"],
-                maximum=spec["max"],
-            )
-        return registry
 
     # -- rendering -------------------------------------------------------------
     def render(self) -> str:
@@ -281,11 +209,13 @@ class MetricsRegistry:
                 f"min {h.minimum if h.minimum is not None else '-'}, "
                 f"max {h.maximum if h.maximum is not None else '-'})"
             )
-            previous = 0.0
+            # The first bucket holds everything up to its bound, the
+            # minimum included (a latency-0 detection is counted there).
+            low = "[0" if h.minimum is not None and h.minimum >= 0 else "(-inf"
             for bound, count in zip(h.buckets, h.counts):
                 if count:
-                    lines.append(f"    ({previous:g}, {bound:g}]: {count}")
-                previous = bound
+                    lines.append(f"    {low}, {bound:g}]: {count}")
+                low = f"({bound:g}"
             if h.counts[-1]:
                 lines.append(f"    ({h.buckets[-1]:g}, inf): {h.counts[-1]}")
         return "\n".join(lines)

@@ -1,11 +1,15 @@
-"""Live campaign status: fold an event stream into progress and health.
+"""Campaign status: the one fold of a campaign's event stream.
 
-Where :mod:`repro.obs.summary` analyses a *finished* campaign's event
-file, this module answers "how is the campaign doing right now?" from a
-partially written stream — the poll/stream API the campaign-as-a-service
-layer wraps (``ROADMAP.md``).  The reducer is incremental: feed it
-records as a follower (:mod:`repro.obs.follow`) delivers them and take a
-:class:`CampaignStatus` snapshot whenever one is needed.
+:class:`CampaignStatusReducer` folds ``repro.obs.events`` records into a
+:class:`CampaignStatus`, and every metric surface reads that status:
+``repro obs status``/``watch`` render it, ``repro obs`` (the post-hoc
+summary, :mod:`repro.obs.summary`) renders it at more length, and
+:func:`repro.obs.export.status_registry` turns it into the
+:class:`~repro.obs.metrics.MetricsRegistry` behind ``campaign
+--metrics`` and the Prometheus export.  The reducer is incremental:
+feed it records as a follower (:mod:`repro.obs.follow`) delivers them —
+or as the campaign emits them (``Telemetry(metrics=True)``) — and take
+a snapshot whenever one is needed.
 
 The accounting is **idempotent** where the stream can replay records:
 worker shard files are merged back into the main event log when chunks
@@ -18,12 +22,14 @@ A campaign resumed *without* the original event log (the pre-append-mode
 behaviour, or a log lost with its machine) still reports correct totals:
 ``campaign_resumed`` carries the completed count, and any completed
 experiments not present in the stream itself are added as an offset.
+Rates (throughput, ETA) count only the experiments the current run
+finished, over the current run's time.
 
 Alongside the reducer live the per-campaign **manifest** helpers: a
 small JSON sidecar (``<events>.manifest.json``) recording the campaign's
 identity (config fingerprint, seed, campaign id) and artifact paths, so
-a service can map an event stream back to its database row and metrics
-snapshots without parsing the stream first.
+a service can map an event stream back to its database row without
+parsing the stream first.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import (
+    DETECTION_LATENCY_BUCKETS,
+    INSTRUCTIONS_BUCKETS,
+    Histogram,
+)
 
 #: Version stamped into every ``manifest.json``.
 MANIFEST_VERSION = 1
@@ -91,9 +102,21 @@ class CampaignStatus:
     """One snapshot of a (possibly still running) campaign.
 
     ``done`` counts every completed experiment — simulated, pruned and
-    resumed alike; ``eta_seconds`` extrapolates the remainder at the
-    observed overall throughput and is ``None`` until a rate exists (or
-    once the campaign ended).
+    resumed alike.  ``started_ts``, ``elapsed_seconds`` and
+    ``throughput`` describe the current run (the latest
+    ``campaign_started``): the rate counts only experiments this run
+    finished, and an ended campaign is anchored at its last event, so
+    its rate stops moving.  ``eta_seconds`` extrapolates the remainder
+    at that rate and is ``None`` until a rate exists (or once the
+    campaign ended).
+
+    The per-experiment aggregates fold ``experiment_finished`` records:
+    ``partition_counts`` (partition → category → count),
+    ``mechanism_counts``, ``pruned_counts`` (prediction → count; a
+    pruned record's category *is* its prediction) and, over the
+    simulated (not pruned, not quarantined) records, ``early_exits``,
+    ``timeouts`` and the ``detection_latency``/``instructions``
+    histograms.  ``simulated`` counts every record not pruned.
     """
 
     name: str = "campaign"
@@ -101,7 +124,6 @@ class CampaignStatus:
     state: str = "unknown"
     total: int = 0
     done: int = 0
-    pruned: int = 0
     resumed: int = 0
     workers: int = 1
     outcome_counts: Dict[str, int] = field(default_factory=dict)
@@ -127,7 +149,27 @@ class CampaignStatus:
     jobs_requeued: int = 0
     jobs_split: int = 0
     jobs_exhausted: int = 0
+    pool_respawns: int = 0
+    partition_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    mechanism_counts: Dict[str, int] = field(default_factory=dict)
+    pruned_counts: Dict[str, int] = field(default_factory=dict)
+    simulated: int = 0
+    early_exits: int = 0
+    timeouts: int = 0
+    detection_latency: Histogram = field(
+        default_factory=lambda: Histogram(DETECTION_LATENCY_BUCKETS)
+    )
+    instructions: Histogram = field(
+        default_factory=lambda: Histogram(INSTRUCTIONS_BUCKETS)
+    )
+    reference_instructions: Optional[int] = None
+    reference_payload_bytes: Optional[int] = None
+    spans: List[Dict[str, object]] = field(default_factory=list)
     manifest: Optional[Dict[str, object]] = None
+
+    @property
+    def pruned(self) -> int:
+        return sum(self.pruned_counts.values())
 
     @property
     def remaining(self) -> int:
@@ -208,6 +250,10 @@ class _WorkerState:
             self.chunk_total = int(record.get("total", 0))
 
 
+def _bump(counts: Dict[str, int], key: str) -> None:
+    counts[key] = counts.get(key, 0) + 1
+
+
 class CampaignStatusReducer:
     """Fold campaign events, in any interleaving, into live status.
 
@@ -221,8 +267,12 @@ class CampaignStatusReducer:
         self._status = CampaignStatus()
         self._seen_indices: set = set()
         self._resumed_offset = 0
+        # Experiments completed before the current run started (the
+        # appended log's earlier runs, or a resume's completed count):
+        # the rate leaves them out.
+        self._run_base = 0
+        self._quarantined: set = set()
         self._workers: Dict[int, _WorkerState] = {}
-        self._chunk_submissions: set = set()
         # Shard-then-merge replays ``dataplane_stats`` records; key them
         # so the summed counters stay exact (same idempotence rule as
         # experiments and heartbeats above).
@@ -252,31 +302,28 @@ class CampaignStatusReducer:
             status.workers = int(record.get("workers", status.workers))
             seed = record.get("seed")
             status.seed = int(seed) if seed is not None else status.seed
-            if status.started_ts is None and ts is not None:
+            if ts is not None and ts != status.started_ts:
+                # A new run (a replayed record repeats its run's ts).
                 status.started_ts = ts
+                self._run_base = len(self._seen_indices) + self._resumed_offset
             status.state = "running"
         elif kind == "experiment_finished":
-            index = record.get("index")
-            if index in self._seen_indices:
-                return  # shard record re-read after the merge
-            self._seen_indices.add(index)
-            category = str(record.get("category"))
-            status.outcome_counts[category] = (
-                status.outcome_counts.get(category, 0) + 1
-            )
-            if record.get("pruned"):
-                status.pruned += 1
+            self._fold_experiment(record)
         elif kind == "worker_heartbeat":
             pid = int(record.get("pid", 0))
             state = self._workers.get(pid)
             if state is None:
                 state = self._workers[pid] = _WorkerState(pid)
             state.fold(record)
-        elif kind == "worker_chunk_done":
-            self._chunk_submissions.add(record.get("worker"))
+        elif kind == "reference_run":
+            status.reference_instructions = int(record.get("instructions", 0))
+            payload = record.get("payload_bytes")
+            if payload is not None:
+                status.reference_payload_bytes = int(payload)
         elif kind == "campaign_resumed":
             completed = int(record.get("completed", 0))
             status.resumed = completed
+            self._run_base = completed
             # With the original log appended-to, the completed
             # experiments are already in the stream; a resume running
             # against a fresh log only has this count — make up the
@@ -290,13 +337,18 @@ class CampaignStatusReducer:
         elif kind == "campaign_finished":
             status.state = "finished"
             status.wall_seconds = float(record.get("wall_seconds", 0.0))
+        elif kind == "span":
+            status.spans.append(record)
         elif kind == "chunk_requeued":
             status.requeued_chunks += 1
             status.retried_experiments += int(record.get("experiments", 0))
         elif kind == "experiment_quarantined":
             status.quarantined += 1
+            self._quarantined.add(record.get("index"))
         elif kind == "worker_pool_rebuilt":
             status.pool_rebuilds += 1
+        elif kind == "worker_pool_respawned":
+            status.pool_respawns += 1
         elif kind == "serial_fallback":
             status.serial_fallbacks += 1
         elif kind == "dataplane_stats":
@@ -335,27 +387,68 @@ class CampaignStatusReducer:
             elif state == "exhausted":
                 status.jobs_exhausted += 1
 
+    def _fold_experiment(self, record: Dict[str, object]) -> None:
+        index = record.get("index")
+        if index in self._seen_indices:
+            return  # shard record re-read after the merge
+        self._seen_indices.add(index)
+        status = self._status
+        category = str(record.get("category"))
+        _bump(status.outcome_counts, category)
+        _bump(
+            status.partition_counts.setdefault(str(record.get("partition")), {}),
+            category,
+        )
+        mechanism = record.get("mechanism")
+        if mechanism is not None:
+            _bump(status.mechanism_counts, str(mechanism))
+        if record.get("pruned"):
+            _bump(status.pruned_counts, category)
+            return
+        status.simulated += 1
+        if index in self._quarantined:
+            return  # a stand-in result: nothing was observed
+        instructions = record.get("instructions")
+        if instructions is not None:
+            status.instructions.observe(instructions)
+        latency = record.get("detection_latency")
+        if latency is not None:
+            status.detection_latency.observe(latency)
+        if record.get("early_exit_iteration") is not None:
+            status.early_exits += 1
+        if record.get("timed_out"):
+            status.timeouts += 1
+
     # -- snapshots -------------------------------------------------------------
     def status(self, now: Optional[float] = None) -> CampaignStatus:
         """A point-in-time snapshot.
 
         ``now`` anchors staleness (stall detection) and the elapsed/ETA
-        extrapolation; without it the latest event timestamp is used, so
-        a post-mortem fold of an aborted log reports the state *as of*
-        the abort rather than flagging everything stalled.
+        extrapolation of a running campaign; without it the latest event
+        timestamp is used, so a post-mortem fold of an aborted log
+        reports the state *as of* the abort rather than flagging
+        everything stalled.  An ended (finished or aborted) campaign is
+        always anchored at its last event.
         """
         status = self._status
         status.done = len(self._seen_indices) + self._resumed_offset
-        basis = now if now is not None else status.last_event_ts
+        if status.state == "stalled":
+            # Derived below from this snapshot's ``now``, never folded:
+            # a worker that reports again un-stalls the campaign.
+            status.state = "running"
         running = status.state == "running"
+        basis = now
+        if basis is None or status.state in ("finished", "aborted"):
+            basis = status.last_event_ts
         if status.started_ts is not None and basis is not None:
             status.elapsed_seconds = max(0.0, basis - status.started_ts)
+        run_done = status.done - self._run_base
+        status.throughput = None
         if status.state == "finished" and status.wall_seconds is not None:
-            status.throughput = (
-                status.done / status.wall_seconds if status.wall_seconds else None
-            )
+            if status.wall_seconds:
+                status.throughput = run_done / status.wall_seconds
         elif status.elapsed_seconds:
-            status.throughput = status.done / status.elapsed_seconds
+            status.throughput = run_done / status.elapsed_seconds
         if running and status.throughput:
             status.eta_seconds = status.remaining / status.throughput
         else:

@@ -1,14 +1,15 @@
 """The telemetry bundle handed to a campaign run.
 
-:class:`Telemetry` groups the three observability primitives — a
-:class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.obs.trace.Tracer` and an optional
-:class:`~repro.obs.events.EventLog` — behind one object that campaign
-code can treat uniformly.  A campaign run with ``telemetry=None`` (the
-default) takes a single ``is None`` branch per hook, so the instrumented
-code paths cost nothing when observability is off.
+:class:`Telemetry` groups what a campaign run can record — a
+:class:`~repro.obs.trace.Tracer`, an optional
+:class:`~repro.obs.events.EventLog`, and a
+:class:`~repro.obs.status.CampaignStatusReducer` folding the events the
+run emits into its metrics — behind one object that campaign code can
+treat uniformly.  A campaign run with ``telemetry=None`` (the default)
+takes a single ``is None`` branch per hook, so the instrumented code
+paths cost nothing when observability is off.
 
-The per-experiment recording helpers live here (not as methods) so the
+The per-experiment payload helpers live here (not as methods) so the
 campaign's plan-order recorder and the chunk runner (in a pool worker
 or in-process) share one definition of each payload.
 """
@@ -21,9 +22,9 @@ from contextlib import nullcontext
 from typing import ContextManager, Dict, Optional
 
 from repro.obs.events import EventLog, now
-from repro.obs.export import MetricsSnapshotter
+from repro.obs.export import status_registry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.status import manifest_path_for
+from repro.obs.status import CampaignStatusReducer, manifest_path_for
 from repro.obs.trace import Tracer
 
 
@@ -32,16 +33,13 @@ class Telemetry:
 
     Args:
         events_path: JSONL event-file destination (None: no event log).
-        metrics: collect a :class:`MetricsRegistry` (default True).
+        metrics: fold every event the run emits into a
+            :class:`~repro.obs.status.CampaignStatusReducer`, read back
+            as :attr:`metrics` (default True).
         tracer: collect phase spans (default True).
         append: open the event log in append mode — a resumed campaign
             continues the original run's log instead of truncating it,
             so the combined file holds the campaign's full history.
-        snapshot_path: periodically dump the metrics registry to this
-            JSON file (atomic writes; see
-            :class:`~repro.obs.export.MetricsSnapshotter`) so a live
-            campaign's metrics can be exported from another process.
-        snapshot_every: minimum seconds between two snapshot writes.
     """
 
     def __init__(
@@ -50,20 +48,25 @@ class Telemetry:
         metrics: bool = True,
         tracer: bool = True,
         append: bool = False,
-        snapshot_path: Optional[str] = None,
-        snapshot_every: float = 2.0,
     ):
-        self.metrics: Optional[MetricsRegistry] = MetricsRegistry() if metrics else None
+        self.reducer: Optional[CampaignStatusReducer] = (
+            CampaignStatusReducer() if metrics else None
+        )
         self.tracer: Optional[Tracer] = Tracer() if tracer else None
         self.events: Optional[EventLog] = (
             EventLog(events_path, mode="a" if append else "w") if events_path else None
         )
-        self.snapshotter: Optional[MetricsSnapshotter] = (
-            MetricsSnapshotter(snapshot_path, every=snapshot_every)
-            if snapshot_path and metrics
-            else None
-        )
         self._finished = False
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """The run's metrics, built from the fold of what it emitted:
+        the deterministic families only (counters, histograms, reference
+        gauges), so serial and parallel runs of one plan build equal
+        registries.  ``None`` when metrics are off."""
+        if self.reducer is None:
+            return None
+        return status_registry(self.reducer.status(), progress=False)
 
     def span(self, name: str) -> ContextManager:
         """A tracer span, or a null context when tracing is off."""
@@ -72,7 +75,10 @@ class Telemetry:
         return self.tracer.span(name)
 
     def emit(self, event: str, **payload: object) -> None:
-        """Emit an event if an event log is attached."""
+        """Emit an event: fold it into the metrics and write it to the
+        event log, whichever is on."""
+        if self.reducer is not None:
+            self.reducer.fold({"event": event, **payload})
         if self.events is not None:
             self.events.emit(event, **payload)
 
@@ -108,8 +114,7 @@ class Telemetry:
         return len(stale)
 
     def checkpoint(self) -> None:
-        """Make the live telemetry surface current: flush the event log
-        and, when due, write a metrics snapshot.
+        """Make the live telemetry surface current: flush the event log.
 
         Campaign code calls this at chunk boundaries, which is
         what makes ``repro obs status``/``watch`` able to read a running
@@ -118,8 +123,6 @@ class Telemetry:
         """
         if self.events is not None:
             self.events.flush()
-        if self.snapshotter is not None:
-            self.snapshotter.maybe_write(self.metrics)
 
     def finish(self) -> None:
         """Emit the tracer's spans and flush the event log.
@@ -127,11 +130,8 @@ class Telemetry:
         Idempotent: campaign runs call it in a ``finally``-style path so
         a crashed or aborted campaign still flushes its events for
         post-mortem ``repro obs`` — spans are emitted once, the flush
-        happens every time.  The final metrics snapshot is forced so the
-        exported file never lags the campaign's end state.
+        happens every time.
         """
-        if self.snapshotter is not None:
-            self.snapshotter.maybe_write(self.metrics, force=True)
         if self.events is None:
             return
         if not self._finished:
@@ -158,23 +158,7 @@ class Telemetry:
         self.close()
 
 
-# -- shared recording helpers (campaign recorder and chunk runner) -------------
-def record_outcome(registry: MetricsRegistry, run, outcome) -> None:
-    """Count one classified experiment into ``registry``.
-
-    Target-level metrics (instruction/latency histograms, EDM firings)
-    are recorded by :class:`~repro.goofi.target.TargetSystem` itself;
-    this adds the classification-dependent counters.
-    """
-    registry.counter(
-        "experiments",
-        partition=run.fault.target.partition,
-        category=outcome.category.value,
-    ).inc()
-    if outcome.mechanism is not None:
-        registry.counter("detections", mechanism=outcome.mechanism).inc()
-
-
+# -- shared payload helpers (campaign recorder and chunk runner) ---------------
 def experiment_event(index: int, run, outcome) -> Dict[str, object]:
     """The deterministic ``experiment_finished`` payload for one run."""
     detection_latency = None

@@ -279,8 +279,8 @@ class CampaignService:
             if resume_id is not None:
                 repair_event_log(events_path, db, resume_id)
             # Metrics and tracer stay off: the service's status surface
-            # is the event stream, and worker threads must not contend
-            # for process-global collector state.
+            # is the event stream itself, folded on demand by
+            # status_snapshot.
             telemetry = Telemetry(
                 events_path,
                 metrics=False,

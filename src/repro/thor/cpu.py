@@ -76,7 +76,6 @@ from repro.thor.edm import (
     DetectionEvent,
     HardwareDetection,
     Mechanism,
-    notify_detection,
     raise_detection,
 )
 from repro.thor.isa import (
@@ -413,7 +412,6 @@ class CPU:
             instruction_index=self.instruction_index,
             detail=event.detail,
         )
-        notify_detection(self.detection)
         return StepResult.DETECTED
 
     def _execute(self) -> StepResult:

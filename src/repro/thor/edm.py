@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Optional
 
 
 class Mechanism(enum.Enum):
@@ -71,36 +71,6 @@ class HardwareDetection(Exception):
 def raise_detection(mechanism: Mechanism, detail: str = "") -> None:
     """Fire a detection mechanism (convenience wrapper)."""
     raise HardwareDetection(mechanism, detail)
-
-
-# -- detection listeners -------------------------------------------------------
-#: Observability hooks called with every DetectionEvent the CPU reports.
-#: The list is process-local: worker processes register their own
-#: listeners against their own metrics registries.
-_detection_listeners: List[Callable[[DetectionEvent], None]] = []
-
-
-def add_detection_listener(
-    listener: Callable[[DetectionEvent], None],
-) -> Callable[[], None]:
-    """Register a detection observer; returns its unsubscribe function."""
-    _detection_listeners.append(listener)
-
-    def remove() -> None:
-        try:
-            _detection_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    return remove
-
-
-def notify_detection(event: DetectionEvent) -> None:
-    """Report a detection to the registered listeners (hot path: one
-    truthiness check when nobody is listening)."""
-    if _detection_listeners:
-        for listener in tuple(_detection_listeners):
-            listener(event)
 
 
 def mechanism_by_name(name: str) -> Optional[Mechanism]:

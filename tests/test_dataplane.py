@@ -24,7 +24,7 @@ from repro.goofi.pool import ReferencePool, WorkerPayload
 from repro.goofi.target import TargetSystem
 from repro.obs.events import read_events
 from repro.obs.status import campaign_status
-from repro.obs.summary import render_events_summary, summarize_events
+from repro.obs.summary import render_events_summary
 from repro.obs.telemetry import Telemetry
 
 ITERATIONS = 40
@@ -404,9 +404,9 @@ class TestObsFolding:
         assert payload["chunks_resized"] == 1
 
     def test_summary_folds_dataplane(self):
-        # summarize_events reads the merged log (no replays by then).
+        # The post-hoc summary reads the merged log (no replays by then).
         events = [e for i, e in enumerate(self._events()) if i != 2]
-        summary = summarize_events(events)
+        summary = campaign_status(events)
         assert summary.restore_words_touched == 140
         assert summary.delta_replay_iterations == 10
         assert summary.full_restores == 3
@@ -420,7 +420,7 @@ class TestObsFolding:
         )
         telemetry.close()
         events = read_events(path)
-        summary = summarize_events(events)
+        summary = campaign_status(events)
         # One report per chunk, from the chunk runner.
         chunks = sum(e["event"] == "worker_chunk_done" for e in events)
         assert chunks >= 1

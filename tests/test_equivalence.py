@@ -23,7 +23,7 @@ from repro.goofi.environment import EngineEnvironment
 from repro.goofi.pool import ReferencePool, WorkerPayload, _factories_equivalent
 from repro.goofi.target import TargetSystem
 from repro.obs.events import read_events
-from repro.obs.summary import summarize_events
+from repro.obs.status import campaign_status
 from repro.obs.telemetry import Telemetry
 
 
@@ -237,8 +237,8 @@ class TestLegacyEquivalentData:
         status = json.loads(capsys.readouterr().out)
         assert status["state"] == "finished"
         assert status["done"] == status["total"] == 12
-        summary = summarize_events(read_events(path))
-        assert summary.experiments == 12
+        summary = campaign_status(read_events(path))
+        assert summary.done == 12
         expected = {}
         for outcome in clean.outcomes:
             category = outcome.category.value

@@ -24,9 +24,7 @@ from repro.goofi.campaign import CampaignConfig, ScifiCampaign
 import repro.goofi.target as target_module
 from repro.goofi.pool import ReferencePool
 from repro.goofi.target import TargetSystem, _hash_state, _hash_state_fresh
-from repro.obs.metrics import MetricsRegistry
 from repro.thor.cpu import CPU, PSW_MASK, StepResult
-from repro.thor.edm import _detection_listeners
 from repro.thor.scanchain import CACHE_PARTITION, REGISTER_PARTITION, ScanChain
 from repro.workloads import compile_algorithm_i, compile_algorithm_ii
 
@@ -273,34 +271,12 @@ class TestRegisterStateBytes:
         )
 
 
-class TestMetricsListenerLifecycle:
-    def test_single_listener_per_campaign(self, workload):
-        target = TargetSystem(workload, iterations=10)
-        before = len(_detection_listeners)
-        target.metrics = MetricsRegistry()
-        assert len(_detection_listeners) == before + 1
-        # Rebinding replaces, never stacks.
-        target.metrics = MetricsRegistry()
-        assert len(_detection_listeners) == before + 1
-        target.metrics = None
-        assert len(_detection_listeners) == before
-
-    def test_campaign_run_unhooks_listener(self, workload):
-        from repro.obs.telemetry import Telemetry
-
-        before = len(_detection_listeners)
-        config = CampaignConfig(workload=workload, faults=10, iterations=ITER)
-        telemetry = Telemetry(metrics=MetricsRegistry())
-        campaign = ScifiCampaign(config)
-        campaign.run(telemetry=telemetry)
-        assert len(_detection_listeners) == before
-        assert campaign.target.metrics is None
-
-    def test_edm_firings_still_counted(self, workload):
+class TestDetectionMetrics:
+    def test_detections_counted(self, workload):
         from repro.obs.telemetry import Telemetry
 
         config = CampaignConfig(workload=workload, faults=FAULTS, iterations=ITER)
-        telemetry = Telemetry(metrics=MetricsRegistry())
+        telemetry = Telemetry()
         result = ScifiCampaign(config).run(telemetry=telemetry)
         detected = sum(
             1 for run in result.experiments if run.detection is not None
@@ -308,7 +284,7 @@ class TestMetricsListenerLifecycle:
         counted = sum(
             counter.value
             for key, counter in telemetry.metrics.counters.items()
-            if key.startswith("edm_firings")
+            if key.startswith("detections")
         )
         assert counted == detected
 

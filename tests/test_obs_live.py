@@ -3,7 +3,8 @@
 Covers the streaming pieces added for ``repro obs status|watch|export``:
 append/resume-safe event logs, the partial-line-tolerant follower, the
 idempotent status reducer with worker health and stall detection, the
-campaign manifest sidecar, Prometheus/snapshot export, and the CLI
+campaign manifest sidecar, the registry built from the status and its
+Prometheus export, and the CLI
 surface — including the end-to-end abort → live poll → resume →
 bit-identical-log scenario.
 """
@@ -23,7 +24,6 @@ from repro.obs import (
     EventFollower,
     EventLog,
     MetricsRegistry,
-    MetricsSnapshotter,
     Telemetry,
     campaign_status,
     manifest_path_for,
@@ -32,12 +32,9 @@ from repro.obs import (
     prometheus_text,
     read_events,
     read_manifest,
-    read_snapshot,
-    registry_from_events,
     render_status,
-    status_metrics,
+    status_registry,
     write_manifest,
-    write_snapshot,
 )
 
 
@@ -262,6 +259,30 @@ class TestCampaignStatusReducer:
         assert all(h.state == "stalled" for h in status.worker_health)
         assert status.state == "stalled"
 
+    def test_stall_clears_when_a_worker_reports_again(self):
+        """``watch`` reuses one reducer: a stalled snapshot must not
+        stick once the worker heartbeats again."""
+        reducer = CampaignStatusReducer(stall_after=60.0)
+        reducer.fold_many(self._stream())
+        assert reducer.status(now=1200.0).state == "stalled"
+        for pid in (11, 12):
+            reducer.fold(
+                _record(
+                    "worker_heartbeat",
+                    ts=1201.0,
+                    pid=pid,
+                    worker=pid - 11,
+                    done=30,
+                    total=50,
+                    seconds=20.0,
+                    throughput=1.5,
+                )
+            )
+        status = reducer.status(now=1202.0)
+        assert status.state == "running"
+        assert [h.state for h in status.worker_health] == ["active", "active"]
+        assert status.eta_seconds is not None
+
     def test_heartbeat_free_quiet_stream_stalls(self):
         records = [_record("campaign_started", ts=1000.0, name="q", faults=10)]
         assert campaign_status(records, now=1001.0).state == "running"
@@ -303,6 +324,61 @@ class TestCampaignStatusReducer:
         assert status.state == "finished"
         assert status.throughput == pytest.approx(40 / 8.0)
         assert status.eta_seconds is None
+
+    def test_ended_campaign_rate_stops_at_its_last_event(self):
+        """A poll long after an abort or finish must not stretch the
+        run: elapsed time and throughput stay as of the last event."""
+        aborted = self._stream() + [
+            _record("campaign_aborted", ts=1020.0, completed=40)
+        ]
+        early = campaign_status(aborted, now=1021.0)
+        late = campaign_status(aborted, now=5000.0)
+        assert late.elapsed_seconds == pytest.approx(20.0)
+        assert late.throughput == pytest.approx(2.0)
+        assert late.to_dict() == early.to_dict()
+        finished = self._stream() + [
+            _record("campaign_finished", ts=1020.0, wall_seconds=8.0)
+        ]
+        assert campaign_status(finished, now=5000.0).elapsed_seconds == (
+            pytest.approx(20.0)
+        )
+
+    def test_resumed_run_rate_counts_only_its_own_experiments(self):
+        """On an appended log, the rate covers the current run: the
+        experiments it finished, over the time since it started."""
+        first = [_record("campaign_started", ts=1000.0, name="r", faults=40)]
+        first += [
+            _record("experiment_finished", index=i, category="detected")
+            for i in range(15)
+        ]
+        first.append(_record("campaign_aborted", ts=1010.0, completed=15))
+        second = [
+            _record("campaign_started", ts=2000.0, name="r", faults=40),
+            _record("campaign_resumed", ts=2001.0, completed=15),
+        ]
+        second += [
+            _record("experiment_finished", index=i, category="detected")
+            for i in range(15, 25)
+        ]
+        running = campaign_status(first + second, now=2005.0)
+        assert running.state == "running"
+        assert running.done == 25 and running.resumed == 15
+        assert running.started_ts == 2000.0
+        assert running.elapsed_seconds == pytest.approx(5.0)
+        assert running.throughput == pytest.approx(10 / 5.0)
+        assert running.eta_seconds == pytest.approx(15 / 2.0)
+        tail = [
+            _record("experiment_finished", index=i, category="detected")
+            for i in range(25, 40)
+        ]
+        tail.append(_record("campaign_finished", ts=2010.0, wall_seconds=5.0))
+        finished = campaign_status(first + second + tail, now=9999.0)
+        assert finished.done == 40
+        assert finished.throughput == pytest.approx(25 / 5.0)
+        # A resume against a fresh log carries only the completed count.
+        fresh = campaign_status(second + tail, now=9999.0)
+        assert fresh.done == 40
+        assert fresh.throughput == pytest.approx(25 / 5.0)
 
     def test_render_mentions_resume_hint_when_aborted(self):
         records = self._stream() + [_record("campaign_aborted", completed=40)]
@@ -358,49 +434,67 @@ class TestExport:
         assert "repro_latency_sum 505" in text
         assert "repro_latency_count 2" in text
 
-    def test_snapshot_round_trip(self, tmp_path):
-        path = str(tmp_path / "metrics.json")
-        registry = self._registry()
-        write_snapshot(path, registry, ts=42.0)
-        ts, loaded = read_snapshot(path)
-        assert ts == 42.0
-        assert loaded.to_dict() == registry.to_dict()
-
-    def test_snapshotter_rate_limits_and_forces(self, tmp_path):
-        clock = iter([0.0, 1.0, 3.0, 3.5]).__next__
-        snapshotter = MetricsSnapshotter(
-            str(tmp_path / "m.json"), every=2.0, clock=clock
-        )
-        registry = self._registry()
-        assert snapshotter.maybe_write(registry) is True  # t=0
-        assert snapshotter.maybe_write(registry) is False  # t=1, too soon
-        assert snapshotter.maybe_write(registry) is True  # t=3, due
-        assert snapshotter.maybe_write(registry, force=True) is True  # t=3.5
-        assert snapshotter.maybe_write(None) is False
-        assert snapshotter.writes == 3
-
     def test_registry_from_events_dedupes_replayed_records(self):
         records = [
             _record(
                 "experiment_finished",
                 index=0,
+                category="overwritten",
+                partition="cache",
+                pruned=True,
+            ),
+            _record(
+                "experiment_finished",
+                index=1,
                 category="detected",
                 partition="cache",
                 mechanism="BUS ERROR",
-                pruned=True,
+                detection_latency=0,
+                early_exit_iteration=None,
+                timed_out=False,
+                instructions=420,
+                pruned=False,
             ),
         ]
-        registry = registry_from_events(records + records)
-        assert registry.counters["experiments{category=detected,partition=cache}"].value == 1
-        assert registry.counters["detections{mechanism=BUS ERROR}"].value == 1
-        assert registry.counters["pruned_experiments"].value == 1
+        registry = status_registry(campaign_status(records + records))
+        counters = {key: c.value for key, c in registry.counters.items()}
+        assert counters == {
+            "experiments{category=overwritten,partition=cache}": 1,
+            "experiments{category=detected,partition=cache}": 1,
+            "detections{mechanism=BUS ERROR}": 1,
+            "pruned_experiments{prediction=overwritten}": 1,
+            "simulated_experiments": 1,
+        }
+        latency = registry.histograms["detection_latency_instructions"]
+        assert latency.count == 1 and latency.counts[0] == 1
+        assert registry.histograms["instructions_per_experiment"].total == 420
+
+    def test_quarantined_stand_in_stays_out_of_the_histograms(self):
+        records = [
+            _record("experiment_quarantined", index=3),
+            _record(
+                "experiment_finished",
+                index=3,
+                category="severe",
+                partition="cache",
+                timed_out=True,
+                instructions=0,
+                pruned=False,
+            ),
+        ]
+        registry = status_registry(campaign_status(records), progress=False)
+        counters = {key: c.value for key, c in registry.counters.items()}
+        assert counters["simulated_experiments"] == 1
+        assert counters["quarantined_experiments"] == 1
+        assert "timeouts" not in counters
+        assert registry.histograms == {}
 
     def test_status_metrics_gauges(self):
         records = [
             _record("campaign_started", ts=1.0, name="g", faults=10, workers=1),
             _record("experiment_finished", index=0, category="detected"),
         ]
-        registry = status_metrics(campaign_status(records, now=2.0))
+        registry = status_registry(campaign_status(records, now=2.0))
         assert registry.gauges["campaign_experiments_total"].value == 10
         assert registry.gauges["campaign_experiments_done"].value == 1
         assert registry.gauges["campaign_state"].value == 1  # running
@@ -586,17 +680,44 @@ class TestObsCliLive:
             main(["obs", "export"])
 
     def test_export_snapshot_to_file(self, capsys, tmp_path):
-        snapshot = str(tmp_path / "metrics.json")
-        registry = MetricsRegistry()
-        registry.counter("experiments", category="detected").inc(5)
-        write_snapshot(snapshot, registry, ts=1.0)
-        output = str(tmp_path / "metrics.prom")
+        """The export writes the metrics of one status snapshot of the
+        event log to ``--output``."""
+        path = str(tmp_path / "events.jsonl")
+        _emit_line(
+            path,
+            _record("campaign_started", ts=1.0, name="f", faults=5, workers=1),
+        )
+        for index in range(5):
+            _emit_line(
+                path,
+                _record(
+                    "experiment_finished",
+                    index=index,
+                    category="detected",
+                    partition="cache",
+                ),
+            )
+        output = str(tmp_path / "metrics.json")
         assert (
-            main(["obs", "export", "--snapshot", snapshot, "--output", output])
+            main(
+                [
+                    "obs",
+                    "export",
+                    "--events",
+                    path,
+                    "--format",
+                    "json",
+                    "--output",
+                    output,
+                ]
+            )
             == 0
         )
-        text = open(output, encoding="utf-8").read()
-        assert 'repro_experiments_total{category="detected"} 5' in text
+        assert f"metrics written to {output}" in capsys.readouterr().out
+        payload = json.load(open(output, encoding="utf-8"))
+        counters = payload["metrics"]["counters"]
+        assert counters["experiments{category=detected,partition=cache}"] == 5
+        assert payload["metrics"]["gauges"]["campaign_experiments_done"] == 5
 
 
 class TestAbortResumeLogIdentity:

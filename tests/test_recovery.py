@@ -27,7 +27,7 @@ from repro.goofi import (
 )
 from repro.goofi.pool import ReferencePool, WorkerPayload
 from repro.goofi.recovery import ResultSink, check_fingerprint, split_chunk
-from repro.obs import Telemetry, read_events, summarize_events
+from repro.obs import Telemetry, campaign_status, read_events
 
 
 def _policy(**kw):
@@ -261,10 +261,11 @@ class TestResume:
             )
             counter = telemetry.metrics.counter("resumed_experiments")
             assert counter.value == completed
-        summary = summarize_events(read_events(path))
-        assert summary.resumed_experiments == completed
+        summary = campaign_status(read_events(path))
+        assert summary.resumed == completed
+        assert summary.done == 12
         # The resumed run's event log covers only the remainder.
-        assert summary.experiments == 12 - completed
+        assert sum(summary.outcome_counts.values()) == 12 - completed
 
     def test_abort_emits_event_and_flushes(self, algorithm_i_compiled, tmp_path):
         db = CampaignDatabase(":memory:")
@@ -284,7 +285,7 @@ class TestResume:
         assert len(aborted) == 1
         assert aborted[0]["campaign_id"] == 1
         assert aborted[0]["completed"] == 4
-        assert summarize_events(events).aborted
+        assert campaign_status(events).state == "aborted"
 
     def test_parallel_abort_and_resume_keeps_the_event_history(
         self, tmp_path, capsys
@@ -321,7 +322,7 @@ class TestResume:
             ]
 
         assert finished(path) == finished(clean_path)
-        assert summarize_events(read_events(path)).experiments == 40
+        assert campaign_status(read_events(path)).done == 40
 
     def test_resume_refuses_config_mismatch(self, algorithm_i_compiled):
         db = CampaignDatabase(":memory:")
@@ -380,10 +381,10 @@ class TestWorkerRecovery:
             assert telemetry.metrics.counter("retries").value >= 3
             assert telemetry.metrics.counter("requeued_chunks").value >= 3
         assert _outcome_key(result) == clean_key
-        summary = summarize_events(read_events(path))
+        summary = campaign_status(read_events(path))
         assert summary.requeued_chunks >= 3
         assert summary.quarantined == 0
-        assert summary.experiments == 12
+        assert summary.done == 12
 
     def test_worker_kill_rebuilds_pool_and_completes(
         self, algorithm_i_compiled, clean_key, tmp_path
@@ -395,10 +396,10 @@ class TestWorkerRecovery:
                 _config(algorithm_i_compiled, chaos=chaos)
             ).run(workers=2, telemetry=telemetry)
         assert _outcome_key(result) == clean_key
-        summary = summarize_events(read_events(path))
+        summary = campaign_status(read_events(path))
         assert summary.pool_rebuilds >= 1
         assert summary.requeued_chunks >= 1
-        assert summary.experiments == 12
+        assert summary.done == 12
 
     def test_poison_experiment_is_quarantined(
         self, algorithm_i_compiled, clean_key, tmp_path
@@ -421,7 +422,7 @@ class TestWorkerRecovery:
             k for i, k in enumerate(clean_key) if i != 6
         ]
         assert ("quarantined", 1) in db.provenance_counts(1)
-        summary = summarize_events(read_events(path))
+        summary = campaign_status(read_events(path))
         assert summary.quarantined == 1
         # No experiment was silently dropped.
         assert len(result.experiments) == 12
@@ -461,10 +462,10 @@ class TestWorkerRecovery:
             if e["event"] == "worker_heartbeat" and e["worker"] in local
         ]
         assert local and {b["pid"] for b in beats} == {os.getpid()}
-        summary = summarize_events(events)
+        summary = campaign_status(events)
         assert summary.serial_fallbacks == 1
         assert summary.pool_rebuilds == 0
-        assert summary.experiments == 12
+        assert summary.done == 12
         assert "AbortRequested" not in capfd.readouterr().err
 
     def test_workers_do_not_inherit_the_sigterm_handler(
