@@ -31,7 +31,7 @@ Trace, then analyse (as FAIL* does): a recording reference run
 (``TargetSystem.run_reference(record_access=True)``) runs on the CPU's
 table-driven loop with a :class:`~repro.thor.cpu.AccessLog` attached,
 which keeps the executed instruction words, one register-access
-template per word (captured through the reference chain's recorder
+template per word (captured through the traced step's recorder
 hooks) and the cacheable data-access stream.  :func:`traces_from_log`
 derives every element's trace from that offline:
 

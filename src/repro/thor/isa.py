@@ -34,6 +34,13 @@ SP_INDEX = 8
 #: Instruction width in bytes.
 INSTRUCTION_BYTES = 4
 
+#: PSW bit positions: the ``Z N C V`` flags and the supervisor mode bit.
+FLAG_Z = 1 << 0
+FLAG_N = 1 << 1
+FLAG_C = 1 << 2
+FLAG_V = 1 << 3
+FLAG_M = 1 << 7
+
 
 class Opcode(enum.IntEnum):
     """Operation codes.  Undefined values raise INSTRUCTION ERROR."""

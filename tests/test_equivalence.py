@@ -67,7 +67,7 @@ class TestBatchedExecution:
         return target
 
     # Batch lanes and serial experiments share CPU.run's table-driven
-    # loop, so the serial side is also run on the reference chain.
+    # loop, so the serial side is also run on the traced step.
     @pytest.mark.parametrize(
         "serial_fast_dispatch",
         [True, False],

@@ -4,7 +4,7 @@ The optimisations under test — the table-driven execution loop,
 incremental boundary hashing, and the shared reference run across
 campaign workers — must not change a single observable outcome.  Every
 test here compares the optimised path against its oracle (the traced
-reference chain, ``cpu.fast_dispatch = False``; the from-scratch digest
+traced step, ``cpu.fast_dispatch = False``; the from-scratch digest
 :func:`_hash_state_fresh`; the serial run) and requires bit-identical
 hashes, outcomes and summary tables.
 """

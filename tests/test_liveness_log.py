@@ -184,7 +184,7 @@ class TestRecordingObservesOnly:
 
 def test_chain_dispatch_logs_the_same_traces(algorithm_i_compiled):
     """With the table loop switched off every instruction runs through
-    the chain with the log as recorder; the derived map is the same."""
+    the traced step with the log as recorder; the derived map is the same."""
     chain = Recorded(algorithm_i_compiled, 30, fast_dispatch=False)
     fast = Recorded(algorithm_i_compiled, 30)
     assert set(chain.logged.liveness._traces) == set(fast.oracle_traces)

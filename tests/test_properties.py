@@ -119,7 +119,7 @@ class TestDeterminismInvariants:
         assert plan_a == plan_b
 
 
-# -- the table-driven loop against the reference chain -------------------------
+# -- the table-driven loop against the traced step ------------------------------
 _LAYOUT = MemoryLayout()
 _NOP_PROGRAM = assemble("nop")
 _CODE_END = _LAYOUT.code_base + _LAYOUT.code_size
@@ -209,7 +209,7 @@ def _words(draw):
             st.sampled_from(list(Opcode)),
             # A third of the words access memory (the cache paths are
             # where the loop inlines most), a third are system ops: the
-            # ones the loop hands to the reference chain, SVC, and the
+            # ones the loop hands to the traced step, SVC, and the
             # control-flow signature check.
             st.sampled_from(
                 [Opcode.LD, Opcode.ST, Opcode.PUSH, Opcode.POP, Opcode.CALL, Opcode.RET]
@@ -381,8 +381,8 @@ class TestTableLoopMatchesReferenceChain:
     @settings(max_examples=1000, deadline=None)
     def test_one_instruction_agrees_field_for_field(self, spec):
         """One instruction through ``CPU.run(1)``'s table-driven loop
-        leaves exactly the state, counters and detection the reference
-        chain (``fast_dispatch=False``) leaves — for corrupted and
+        leaves exactly the state, counters and detection the traced
+        step (``fast_dispatch=False``) leaves — for corrupted and
         illegal words, privileged ops in user mode, register fields
         beyond ``sp``, cache misses with dirty victims and corrupted
         tags, unaligned/unmapped/parity-corrupted accesses and SVC
