@@ -6,6 +6,9 @@ This package provides a simulator with the same injectable surface:
 
 * :mod:`repro.thor.isa` — a 32-bit fixed-width instruction set with
   integer and IEEE-754 single-precision float operations,
+* :mod:`repro.thor.semantics` — the one specification per opcode that
+  the encoding, both interpreters, the assembler and the disassembler
+  read,
 * :mod:`repro.thor.memory` — the memory map (null page, protected code,
   data, stack, memory-mapped I/O) with per-word parity (DATA ERROR),
 * :mod:`repro.thor.cache` — a 128-byte direct-mapped write-back data

@@ -17,6 +17,11 @@ Syntax (one statement per line, ``;`` starts a comment)::
             svc  0              ; yield to the environment
             br   loop
 
+Every instruction is parsed by its spec's syntax
+(:mod:`repro.thor.semantics`): the operand count must match it, an
+immediate must lie in -0x8000..0xFFFF (stored as its low 16 bits), and
+a memory offset or a pc-relative target in -0x8000..0x7FFF.
+
 Pass 1 sizes statements and assigns label addresses (``la`` expands to
 two words); pass 2 encodes.  After encoding, the assembler derives the
 legal control-flow transitions between ``sig`` checkpoints by exploring
@@ -32,61 +37,15 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import AssemblyError
-from repro.thor.isa import (
-    IMMEDIATE_OPCODES,
-    Instruction,
-    Opcode,
-    encode,
-    register_index,
-)
+from repro.thor.isa import Instruction, Opcode, encode, register_index
 from repro.thor.memory import MemoryLayout, WORD
 from repro.thor.program import Program
+from repro.thor.semantics import SPEC, SPEC_BY_CODE
 
 _MEM_OPERAND = re.compile(r"^\[\s*(\w+)\s*(?:([+-])\s*(\w+))?\s*\]$")
 _HI_LO = re.compile(r"^%(hi|lo)\((\w+)\)$")
 
-_BRANCH_MNEMONICS = {
-    "br": Opcode.BR,
-    "beq": Opcode.BEQ,
-    "bne": Opcode.BNE,
-    "blt": Opcode.BLT,
-    "bge": Opcode.BGE,
-    "bgt": Opcode.BGT,
-    "ble": Opcode.BLE,
-    "bvs": Opcode.BVS,
-    "call": Opcode.CALL,
-}
-
-_THREE_REG = {
-    "add": Opcode.ADD,
-    "sub": Opcode.SUB,
-    "mul": Opcode.MUL,
-    "div": Opcode.DIV,
-    "and": Opcode.AND,
-    "or": Opcode.OR,
-    "xor": Opcode.XOR,
-    "shl": Opcode.SHL,
-    "shr": Opcode.SHR,
-    "fadd": Opcode.FADD,
-    "fsub": Opcode.FSUB,
-    "fmul": Opcode.FMUL,
-    "fdiv": Opcode.FDIV,
-    "chk": Opcode.CHK,
-}
-
-_TWO_REG = {
-    "mov": Opcode.MOV,
-    "itof": Opcode.ITOF,
-    "ftoi": Opcode.FTOI,
-    "fneg": Opcode.FNEG,
-}
-
-_NO_OPERAND = {
-    "nop": Opcode.NOP,
-    "halt": Opcode.HALT,
-    "ret": Opcode.RET,
-    "wfi": Opcode.WFI,
-}
+_BY_MNEMONIC = {spec.mnemonic: spec for spec in SPEC}
 
 
 @dataclass
@@ -212,100 +171,37 @@ class _Assembler:
         m = st.mnemonic
         ops = st.operands
         n = st.line_no
-        try:
-            if m == "la":
-                address = self._symbol(ops[1], n)
-                rd = register_index(ops[0])
-                return [
-                    encode(Instruction(Opcode.LUI, rd=rd, imm=(address >> 16) & 0xFFFF)),
-                    encode(Instruction(Opcode.ORI, rd=rd, imm=address & 0xFFFF)),
-                ]
-            if m in _NO_OPERAND:
-                return [encode(Instruction(_NO_OPERAND[m]))]
-            if m in ("svc", "sig"):
-                opcode = Opcode.SVC if m == "svc" else Opcode.SIG
-                return [encode(Instruction(opcode, imm=_int_literal(ops[0]) & 0xFFFF))]
-            if m in _BRANCH_MNEMONICS:
-                opcode = _BRANCH_MNEMONICS[m]
-                target = self._branch_target(ops[0], st)
-                return [encode(Instruction(opcode, imm=target))]
-            if m == "jr":
-                return [encode(Instruction(Opcode.JR, rs1=register_index(ops[0])))]
-            if m in _THREE_REG:
-                return [
-                    encode(
-                        Instruction(
-                            _THREE_REG[m],
-                            rd=register_index(ops[0]),
-                            rs1=register_index(ops[1]),
-                            rs2=register_index(ops[2]),
-                        )
-                    )
-                ]
-            if m in _TWO_REG:
-                return [
-                    encode(
-                        Instruction(
-                            _TWO_REG[m],
-                            rd=register_index(ops[0]),
-                            rs1=register_index(ops[1]),
-                        )
-                    )
-                ]
-            if m == "setmode":
-                return [encode(Instruction(Opcode.SETMODE, rs1=register_index(ops[0])))]
-            if m in ("cmp", "fcmp"):
-                opcode = Opcode.CMP if m == "cmp" else Opcode.FCMP
-                return [
-                    encode(
-                        Instruction(
-                            opcode,
-                            rs1=register_index(ops[0]),
-                            rs2=register_index(ops[1]),
-                        )
-                    )
-                ]
-            if m in ("ldi", "lui", "ori"):
-                opcode = {"ldi": Opcode.LDI, "lui": Opcode.LUI, "ori": Opcode.ORI}[m]
-                imm = self._resolve_imm(ops[1], n)
-                if m == "ldi" and not -0x8000 <= imm <= 0xFFFF:
-                    raise AssemblyError(f"line {n}: ldi immediate {imm} out of range")
-                return [
-                    encode(
-                        Instruction(opcode, rd=register_index(ops[0]), imm=imm & 0xFFFF)
-                    )
-                ]
-            if m == "addi":
-                imm = self._resolve_imm(ops[2], n)
-                return [
-                    encode(
-                        Instruction(
-                            Opcode.ADDI,
-                            rd=register_index(ops[0]),
-                            rs1=register_index(ops[1]),
-                            imm=imm & 0xFFFF,
-                        )
-                    )
-                ]
-            if m in ("ld", "st"):
-                opcode = Opcode.LD if m == "ld" else Opcode.ST
-                base, offset = self._mem_operand(ops[1], n)
-                return [
-                    encode(
-                        Instruction(
-                            opcode,
-                            rd=register_index(ops[0]),
-                            rs1=base,
-                            imm=offset & 0xFFFF,
-                        )
-                    )
-                ]
-            if m in ("push", "pop"):
-                opcode = Opcode.PUSH if m == "push" else Opcode.POP
-                return [encode(Instruction(opcode, rd=register_index(ops[0])))]
-        except (IndexError, KeyError):
-            raise AssemblyError(f"line {n}: malformed operands for {m!r}") from None
-        raise AssemblyError(f"line {n}: unknown mnemonic {m!r}")
+        if m == "la":
+            if len(ops) < 2:
+                raise AssemblyError(f"line {n}: malformed operands for {m!r}")
+            address = self._symbol(ops[1], n)
+            rd = register_index(ops[0])
+            return [
+                encode(Instruction(Opcode.LUI, rd=rd, imm=(address >> 16) & 0xFFFF)),
+                encode(Instruction(Opcode.ORI, rd=rd, imm=address & 0xFFFF)),
+            ]
+        spec = _BY_MNEMONIC.get(m)
+        if spec is None:
+            raise AssemblyError(f"line {n}: unknown mnemonic {m!r}")
+        forms = spec.syntax.split(", ") if spec.syntax else []
+        if len(ops) != len(forms):
+            raise AssemblyError(
+                f"line {n}: {m!r} takes {len(forms)} operands, got {len(ops)}"
+            )
+        fields: Dict[str, int] = {}
+        for form, text in zip(forms, ops):
+            if form.startswith("["):
+                fields["rs1"], fields["imm"] = self._mem_operand(text, n)
+            elif form in ("{rd}", "{rs1}", "{rs2}"):
+                fields[form[1:-1]] = register_index(text)
+            elif "target" in spec.flow:
+                fields["imm"] = self._branch_target(text, st)
+            else:
+                imm = self._resolve_imm(text, n)
+                if not -0x8000 <= imm <= 0xFFFF:
+                    raise AssemblyError(f"line {n}: {m} immediate {imm} out of range")
+                fields["imm"] = imm & 0xFFFF
+        return [encode(Instruction(spec.opcode, **fields))]
 
     def _branch_target(self, operand: str, st: _Statement) -> int:
         if operand in self.symbols:
@@ -329,67 +225,42 @@ class _Assembler:
                 offset = -offset
         if not -0x8000 <= offset <= 0x7FFF:
             raise AssemblyError(f"line {line_no}: memory offset out of range")
-        return base, offset
+        return base, offset & 0xFFFF
 
 
 def _signature_successors(
     words: List[int], code_base: int
 ) -> Dict[int, FrozenSet[int]]:
-    """Derive legal SIG-to-SIG transitions from the instruction CFG."""
+    """Derive legal SIG-to-SIG transitions from the instruction CFG.
+
+    A word's successors follow its spec's ``flow``: its pc-relative
+    target, the next word, and for an indirect jump (a return or a
+    register jump) every word after a ``call``.  An undefined word falls
+    through.
+    """
     count = len(words)
-
-    def decode_at(i: int) -> Tuple[int, int]:
-        word = words[i]
-        return (word >> 24) & 0xFF, word & 0xFFFF
-
-    def simm(imm: int) -> int:
-        return imm - 0x10000 if imm & 0x8000 else imm
-
     sig_at: Dict[int, int] = {}
     call_returns: List[int] = []
-    for i in range(count):
-        opcode, imm = decode_at(i)
-        if opcode == int(Opcode.SIG):
-            sig_at[i] = imm
-        elif opcode == int(Opcode.CALL) and i + 1 < count:
+    for i, word in enumerate(words):
+        opcode = (word >> 24) & 0xFF
+        if opcode == Opcode.SIG:
+            sig_at[i] = word & 0xFFFF
+        elif opcode == Opcode.CALL and i + 1 < count:
             call_returns.append(i + 1)
 
-    branch_opcodes = {
-        int(op)
-        for op in (
-            Opcode.BR,
-            Opcode.BEQ,
-            Opcode.BNE,
-            Opcode.BLT,
-            Opcode.BGE,
-            Opcode.BGT,
-            Opcode.BLE,
-            Opcode.BVS,
-        )
-    }
-
     def successors(i: int) -> List[int]:
-        opcode, imm = decode_at(i)
+        word = words[i]
+        spec = SPEC_BY_CODE.get((word >> 24) & 0xFF)
         succ: List[int] = []
-        if opcode == int(Opcode.HALT) or opcode == int(Opcode.WFI):
-            return succ
-        if opcode in branch_opcodes:
-            target = i + simm(imm)
-            if 0 <= target < count:
-                succ.append(target)
-            if opcode != int(Opcode.BR):
+        for kind in spec.flow if spec else ("next",):
+            if kind == "target":
+                imm = word & 0xFFFF
+                succ.append(i + (imm - 0x10000 if imm & 0x8000 else imm))
+            elif kind == "next":
                 succ.append(i + 1)
-            return [s for s in succ if 0 <= s < count]
-        if opcode == int(Opcode.CALL):
-            target = i + simm(imm)
-            if 0 <= target < count:
-                succ.append(target)
-            return succ
-        if opcode == int(Opcode.RET) or opcode == int(Opcode.JR):
-            return list(call_returns)
-        if i + 1 < count:
-            succ.append(i + 1)
-        return succ
+            else:
+                succ.extend(call_returns)
+        return [s for s in succ if 0 <= s < count]
 
     result: Dict[int, Set[int]] = {}
     for start, sig_id in sig_at.items():

@@ -98,7 +98,14 @@ from repro.thor.isa import (  # the PSW flags are re-exported
 )
 from repro.thor.memory import MemoryLayout, MemoryMap, WORD, _parity
 from repro.thor.program import Program
-from repro.thor.semantics import CONSTANTS, MEASURED_MIX, SPEC, OpSpec, float_result
+from repro.thor.semantics import (
+    CONSTANTS,
+    MEASURED_MIX,
+    SPEC,
+    SPEC_BY_CODE,
+    OpSpec,
+    float_result,
+)
 
 PSW_BITS = 10
 PSW_MASK = (1 << PSW_BITS) - 1
@@ -300,9 +307,6 @@ _GENERIC_ENTRY: _Entry = (0, 0, 0, 0)
 def _no_arm(*_fields: int) -> _Entry:
     """The operands of an opcode without an arm: privileged or illegal."""
     return _GENERIC_ENTRY
-
-#: The specification by opcode value.
-_SPEC_BY_CODE: Dict[int, OpSpec] = {int(spec.opcode): spec for spec in SPEC}
 
 
 def _entry(word: int) -> _Entry:
@@ -993,7 +997,7 @@ def _traced_step(self):
         recorder.now = self.instruction_index
     word = self.ir & 0xFFFFFFFF
     op = word >> 24
-    spec = _SPEC_BY_CODE.get(op)
+    spec = SPEC_BY_CODE.get(op)
     if spec is None:
         raise_detection(Mechanism.INSTRUCTION_ERROR, f"illegal opcode {op:#x}")
     if spec.privileged:

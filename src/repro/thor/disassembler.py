@@ -8,60 +8,13 @@ re-assembling it yields the identical code image (tested property).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.thor.isa import (
-    IMMEDIATE_OPCODES,
-    Instruction,
-    Opcode,
-    SP_INDEX,
-    decode,
-)
+from repro.errors import AssemblyError
+from repro.thor.isa import Instruction, SP_INDEX, decode
 from repro.thor.memory import WORD
 from repro.thor.program import Program
-
-_NO_OPERAND = {
-    Opcode.NOP: "nop",
-    Opcode.HALT: "halt",
-    Opcode.RET: "ret",
-    Opcode.WFI: "wfi",
-}
-
-_THREE_REG = {
-    Opcode.ADD: "add",
-    Opcode.SUB: "sub",
-    Opcode.MUL: "mul",
-    Opcode.DIV: "div",
-    Opcode.AND: "and",
-    Opcode.OR: "or",
-    Opcode.XOR: "xor",
-    Opcode.SHL: "shl",
-    Opcode.SHR: "shr",
-    Opcode.FADD: "fadd",
-    Opcode.FSUB: "fsub",
-    Opcode.FMUL: "fmul",
-    Opcode.FDIV: "fdiv",
-    Opcode.CHK: "chk",
-}
-
-_TWO_REG = {
-    Opcode.MOV: "mov",
-    Opcode.ITOF: "itof",
-    Opcode.FTOI: "ftoi",
-    Opcode.FNEG: "fneg",
-}
-
-_BRANCHES = {
-    Opcode.BR: "br",
-    Opcode.BEQ: "beq",
-    Opcode.BNE: "bne",
-    Opcode.BLT: "blt",
-    Opcode.BGE: "bge",
-    Opcode.BGT: "bgt",
-    Opcode.BLE: "ble",
-    Opcode.BVS: "bvs",
-    Opcode.CALL: "call",
-}
+from repro.thor.semantics import SPEC_BY_CODE
 
 
 def _reg(index: int) -> str:
@@ -79,46 +32,16 @@ def disassemble_word(word: int) -> str:
 
 
 def disassemble_instruction(instruction: Instruction) -> str:
-    """A decoded instruction as assembly text."""
-    op = instruction.opcode
-    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-    if op in _NO_OPERAND:
-        return _NO_OPERAND[op]
-    if op is Opcode.SVC:
-        return f"svc {instruction.imm}"
-    if op is Opcode.SIG:
-        return f"sig {instruction.imm}"
-    if op is Opcode.SETMODE:
-        return f"setmode {_reg(rs1)}"
-    if op is Opcode.JR:
-        return f"jr {_reg(rs1)}"
-    if op in _THREE_REG:
-        return f"{_THREE_REG[op]} {_reg(rd)}, {_reg(rs1)}, {_reg(rs2)}"
-    if op in _TWO_REG:
-        return f"{_TWO_REG[op]} {_reg(rd)}, {_reg(rs1)}"
-    if op is Opcode.CMP:
-        return f"cmp {_reg(rs1)}, {_reg(rs2)}"
-    if op is Opcode.FCMP:
-        return f"fcmp {_reg(rs1)}, {_reg(rs2)}"
-    if op is Opcode.LDI:
-        return f"ldi {_reg(rd)}, {instruction.simm()}"
-    if op is Opcode.LUI:
-        return f"lui {_reg(rd)}, {instruction.imm:#x}"
-    if op is Opcode.ORI:
-        return f"ori {_reg(rd)}, {instruction.imm:#x}"
-    if op is Opcode.ADDI:
-        return f"addi {_reg(rd)}, {_reg(rs1)}, {instruction.simm()}"
-    if op is Opcode.LD:
-        return f"ld {_reg(rd)}, [{_reg(rs1)}{instruction.simm():+d}]"
-    if op is Opcode.ST:
-        return f"st {_reg(rd)}, [{_reg(rs1)}{instruction.simm():+d}]"
-    if op is Opcode.PUSH:
-        return f"push {_reg(rd)}"
-    if op is Opcode.POP:
-        return f"pop {_reg(rd)}"
-    if op in _BRANCHES:
-        return f"{_BRANCHES[op]} {instruction.simm()}"
-    raise AssertionError(f"unhandled opcode {op!r}")  # pragma: no cover
+    """A decoded instruction as assembly text, by its spec's syntax."""
+    spec = SPEC_BY_CODE[instruction.opcode]
+    operands = spec.syntax.format(
+        rd=_reg(instruction.rd),
+        rs1=_reg(instruction.rs1),
+        rs2=_reg(instruction.rs2),
+        imm=instruction.imm,
+        simm=instruction.simm(),
+    )
+    return f"{spec.mnemonic} {operands}" if operands else spec.mnemonic
 
 
 def disassemble_program(program: Program) -> List[str]:
@@ -144,17 +67,13 @@ def disassemble_program(program: Program) -> List[str]:
 def reassemble_source(program: Program) -> str:
     """Assembly source whose code image equals ``program``'s.
 
-    Branch targets are emitted as numeric relative offsets, so no label
-    bookkeeping is needed; data and rodata initialisers are emitted as
-    raw words at synthesised labels.
+    Only the ``.text`` section is emitted: the data image round-trips
+    through :attr:`Program.data` directly.  Branch targets are emitted
+    as numeric relative offsets, so no label bookkeeping is needed.
     """
-    from repro.errors import AssemblyError
-
     lines = [".text"]
     for word in program.code:
         if decode(word) is None:
             raise AssemblyError(f"cannot reassemble undefined word {word:#010x}")
         lines.append("    " + disassemble_word(word))
-    # The data image round-trips through Program.data directly; only the
-    # code image needs source text.
     return "\n".join(lines) + "\n"

@@ -12,124 +12,39 @@ The ISA is a small 32-bit load/store architecture:
 * control-flow signature instructions (``SIG``) used by the control-flow
   checking mechanism.
 
-Opcode numbers are assigned sparsely so that a single bit-flip in the
-instruction register frequently lands on an undefined opcode and raises
-INSTRUCTION ERROR, as on the real processor.
+The opcodes, and every per-opcode fact (what each does, its operands,
+privilege and control flow), are specified once in
+:mod:`repro.thor.semantics`; this module derives the encoding from them.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import AssemblyError
+from repro.thor.semantics import (  # re-exported: the ISA's names
+    FLAG_C,
+    FLAG_M,
+    FLAG_N,
+    FLAG_V,
+    FLAG_Z,
+    SP_INDEX,
+    SPEC,
+    Opcode,
+)
 
 #: Number of general-purpose registers (r0..r7).
 NUM_GPRS = 8
 
-#: Register index of the stack pointer in encoded register fields.
-SP_INDEX = 8
-
 #: Instruction width in bytes.
 INSTRUCTION_BYTES = 4
 
-#: PSW bit positions: the ``Z N C V`` flags and the supervisor mode bit.
-FLAG_Z = 1 << 0
-FLAG_N = 1 << 1
-FLAG_C = 1 << 2
-FLAG_V = 1 << 3
-FLAG_M = 1 << 7
-
-
-class Opcode(enum.IntEnum):
-    """Operation codes.  Undefined values raise INSTRUCTION ERROR."""
-
-    # -- system -----------------------------------------------------------
-    NOP = 0x01
-    HALT = 0x02           # privileged
-    SVC = 0x03            # service call; SVC #0 is the environment yield
-    SIG = 0x04            # control-flow signature checkpoint
-    SETMODE = 0x70        # privileged: write PSW mode bit from rs1
-    WFI = 0x71            # privileged: wait for interrupt
-
-    # -- moves and constants ------------------------------------------------
-    LDI = 0x10            # rd = sign_extend(imm16)
-    LUI = 0x11            # rd = imm16 << 16
-    ORI = 0x12            # rd |= zero_extend(imm16)
-    MOV = 0x13            # rd = rs1
-
-    # -- memory ---------------------------------------------------------------
-    LD = 0x20             # rd = mem[rs1 + sign_extend(imm16)]
-    ST = 0x21             # mem[rs1 + sign_extend(imm16)] = rd
-    PUSH = 0x22           # sp -= 4; mem[sp] = rd
-    POP = 0x23            # rd = mem[sp]; sp += 4
-
-    # -- integer arithmetic -----------------------------------------------------
-    ADD = 0x30
-    SUB = 0x31
-    MUL = 0x32
-    DIV = 0x33
-    AND = 0x34
-    OR = 0x35
-    XOR = 0x36
-    SHL = 0x37
-    SHR = 0x38
-    ADDI = 0x39           # rd = rs1 + sign_extend(imm16)
-    CMP = 0x3A            # flags from rs1 - rs2
-
-    # -- float arithmetic (IEEE-754 single, bit patterns in GPRs) ---------------
-    FADD = 0x40
-    FSUB = 0x41
-    FMUL = 0x42
-    FDIV = 0x43
-    FCMP = 0x44           # Z = equal, N = less, V = unordered
-    ITOF = 0x45           # rd = float(int(rs1))
-    FTOI = 0x46           # rd = int(float(rs1)), truncating
-    FNEG = 0x47           # rd = -rs1
-
-    # -- control flow -----------------------------------------------------------
-    BR = 0x50             # pc += 4 * sign_extend(imm16)
-    BEQ = 0x51
-    BNE = 0x52
-    BLT = 0x53
-    BGE = 0x54
-    BGT = 0x55
-    BLE = 0x56
-    BVS = 0x57            # branch if V (overflow / float unordered)
-    CALL = 0x58           # push return address; pc-relative target
-    RET = 0x59
-    JR = 0x5A             # pc = rs1
-
-    # -- runtime checks ------------------------------------------------------
-    CHK = 0x60            # CONSTRAINT ERROR unless float rd <= rs1 <= rs2
-
-
 #: Opcodes that may only execute in supervisor mode.
-PRIVILEGED_OPCODES = frozenset({Opcode.HALT, Opcode.SETMODE, Opcode.WFI})
+PRIVILEGED_OPCODES = frozenset(spec.opcode for spec in SPEC if spec.privileged)
 
-#: Opcodes whose imm16 field is a signed immediate (not rs2).
-IMMEDIATE_OPCODES = frozenset(
-    {
-        Opcode.SVC,
-        Opcode.SIG,
-        Opcode.LDI,
-        Opcode.LUI,
-        Opcode.ORI,
-        Opcode.LD,
-        Opcode.ST,
-        Opcode.ADDI,
-        Opcode.BR,
-        Opcode.BEQ,
-        Opcode.BNE,
-        Opcode.BLT,
-        Opcode.BGE,
-        Opcode.BGT,
-        Opcode.BLE,
-        Opcode.BVS,
-        Opcode.CALL,
-    }
-)
+#: Opcodes whose imm16 field is an immediate (rs2 for the others).
+IMMEDIATE_OPCODES = frozenset(spec.opcode for spec in SPEC if spec.uses_imm)
 
 _VALID_OPCODES: Dict[int, Opcode] = {int(op): op for op in Opcode}
 

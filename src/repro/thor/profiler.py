@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.thor.cpu import CPU, TraceEntry
-from repro.thor.isa import Opcode
 from repro.thor.program import Program
 
 

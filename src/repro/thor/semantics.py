@@ -1,10 +1,21 @@
-"""The instruction set's semantics: one specification per opcode.
+"""The instruction set's definition: one specification per opcode.
 
-Every :class:`~repro.thor.isa.Opcode` has exactly one :class:`OpSpec` in
-:data:`SPEC`.  :mod:`repro.thor.cpu` generates both interpreters from
-it at import: the traced one-instruction step (every recorder and trace
-hook, the oracle) and the table-driven loop of :meth:`CPU.run
-<repro.thor.cpu.CPU.run>`.  An ISA or EDM fix therefore lands here, once.
+Every :class:`Opcode` has exactly one :class:`OpSpec` in :data:`SPEC`,
+and every per-opcode fact of the tool chain is read from it:
+
+* :mod:`repro.thor.cpu` generates both interpreters from the bodies at
+  import: the traced one-instruction step (every recorder and trace
+  hook, the oracle) and the table-driven loop of :meth:`CPU.run
+  <repro.thor.cpu.CPU.run>`;
+* :mod:`repro.thor.isa` derives the encoding (an opcode that uses the
+  immediate carries imm16 in bits [15:0], any other rs2 in [15:12]) and
+  the privileged set;
+* :mod:`repro.thor.disassembler` prints and :mod:`repro.thor.assembler`
+  parses every instruction by its :attr:`OpSpec.syntax`;
+* the assembler's signature analysis follows :attr:`OpSpec.flow`.
+
+An ISA or EDM fix therefore lands here, once, and a new opcode needs one
+:class:`OpSpec` and nothing else.
 
 A spec's body is Python over the decoded operands (``rd``, ``rs1``,
 ``rs2``, ``imm``, ``simm`` and the spec's own ``operands``), the
@@ -39,17 +50,112 @@ which each interpreter expands its own way:
 The traced step records a ``psw_read`` mask before the body runs, and
 checks privileged opcodes (a recorded read of the mode bit) before any
 of it.
+
+Text.  An instruction's mnemonic is its opcode's name in lower case.
+Its operands are written by :attr:`OpSpec.syntax`, a format string over
+the register names ``rd``, ``rs1``, ``rs2`` and the immediate as
+``imm`` (unsigned) or ``simm`` (sign-extended).  By default it lists
+the fields the spec uses in ``rd, rs1, rs2`` order, then the immediate
+the spec reads; a spec states its syntax only where that is wrong (the
+``[rs1+simm]`` memory operand of LD/ST, the hex immediate of LUI/ORI).
+An immediate that a ``JUMP`` reaches through the ``offset`` operand is
+a pc-relative target, written in words.
+
+Control flow.  :attr:`OpSpec.flow` is read from the body's primitives:
+a ``JUMP`` over ``offset`` goes to its ``"target"``, any other ``JUMP``
+(a return or a register jump) is ``"indirect"``, and the instruction
+falls through to the ``"next"`` one unless a top-level ``JUMP`` or
+``HALT`` ends the body (a ``JUMP`` under an ``if`` is conditional).
 """
 
 from __future__ import annotations
 
 import ast
+import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.thor.edm import Mechanism, raise_detection
-from repro.thor.isa import FLAG_C, FLAG_M, FLAG_N, FLAG_V, FLAG_Z, SP_INDEX, Opcode
+
+#: Register index of the stack pointer in encoded register fields.
+SP_INDEX = 8
+
+#: PSW bit positions: the ``Z N C V`` flags and the supervisor mode bit.
+FLAG_Z = 1 << 0
+FLAG_N = 1 << 1
+FLAG_C = 1 << 2
+FLAG_V = 1 << 3
+FLAG_M = 1 << 7
+
+
+class Opcode(enum.IntEnum):
+    """Operation codes.  Undefined values raise INSTRUCTION ERROR.
+
+    Opcode numbers are assigned sparsely so that a single bit-flip in
+    the instruction register frequently lands on an undefined opcode and
+    raises INSTRUCTION ERROR, as on the real processor.
+    """
+
+    # -- system -----------------------------------------------------------
+    NOP = 0x01
+    HALT = 0x02           # privileged
+    SVC = 0x03            # service call; SVC #0 is the environment yield
+    SIG = 0x04            # control-flow signature checkpoint
+    SETMODE = 0x70        # privileged: write PSW mode bit from rs1
+    WFI = 0x71            # privileged: wait for interrupt
+
+    # -- moves and constants ------------------------------------------------
+    LDI = 0x10            # rd = sign_extend(imm16)
+    LUI = 0x11            # rd = imm16 << 16
+    ORI = 0x12            # rd |= zero_extend(imm16)
+    MOV = 0x13            # rd = rs1
+
+    # -- memory ---------------------------------------------------------------
+    LD = 0x20             # rd = mem[rs1 + sign_extend(imm16)]
+    ST = 0x21             # mem[rs1 + sign_extend(imm16)] = rd
+    PUSH = 0x22           # sp -= 4; mem[sp] = rd
+    POP = 0x23            # rd = mem[sp]; sp += 4
+
+    # -- integer arithmetic -----------------------------------------------------
+    ADD = 0x30
+    SUB = 0x31
+    MUL = 0x32
+    DIV = 0x33
+    AND = 0x34
+    OR = 0x35
+    XOR = 0x36
+    SHL = 0x37
+    SHR = 0x38
+    ADDI = 0x39           # rd = rs1 + sign_extend(imm16)
+    CMP = 0x3A            # flags from rs1 - rs2
+
+    # -- float arithmetic (IEEE-754 single, bit patterns in GPRs) ---------------
+    FADD = 0x40
+    FSUB = 0x41
+    FMUL = 0x42
+    FDIV = 0x43
+    FCMP = 0x44           # Z = equal, N = less, V = unordered
+    ITOF = 0x45           # rd = float(int(rs1))
+    FTOI = 0x46           # rd = int(float(rs1)), truncating
+    FNEG = 0x47           # rd = -rs1
+
+    # -- control flow -----------------------------------------------------------
+    BR = 0x50             # pc += 4 * sign_extend(imm16)
+    BEQ = 0x51
+    BNE = 0x52
+    BLT = 0x53
+    BGE = 0x54
+    BGT = 0x55
+    BLE = 0x56
+    BVS = 0x57            # branch if V (overflow / float unordered)
+    CALL = 0x58           # push return address; pc-relative target
+    RET = 0x59
+    JR = 0x5A             # pc = rs1
+
+    # -- runtime checks ------------------------------------------------------
+    CHK = 0x60            # CONSTRAINT ERROR unless float rd <= rs1 <= rs2
+
 
 #: Named constants of the bodies; the generator inlines them as literals.
 CONSTANTS: Dict[str, object] = {
@@ -104,9 +210,34 @@ def float_result(value: float, operands_finite: bool) -> int:
     return _STRUCT_I.unpack(packed)[0]
 
 
+def _names(nodes) -> Set[str]:
+    return {n.id for n in nodes if isinstance(n, ast.Name)}
+
+
+def _primitive(node: ast.AST) -> str:
+    """The primitive ``node`` calls, or ``""``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id
+    return ""
+
+
+def _flow(tree: ast.Module) -> Tuple[str, ...]:
+    """Where control goes after a body (module docstring, Control flow)."""
+    flow = tuple(
+        "target" if "offset" in _names(ast.walk(node)) else "indirect"
+        for node in ast.walk(tree)
+        if _primitive(node) == "JUMP"
+    )
+    ends = any(
+        isinstance(statement, ast.Expr) and _primitive(statement.value) in ("JUMP", "HALT")
+        for statement in tree.body
+    )
+    return flow if ends else flow + ("next",)
+
+
 @dataclass(frozen=True)
 class OpSpec:
-    """One opcode's semantics.
+    """One opcode's semantics, text and control flow.
 
     Attributes:
         opcode: the opcode specified.
@@ -116,8 +247,12 @@ class OpSpec:
         psw_read: PSW bits the instruction reads (recorded first).
         psw_write: PSW bits :func:`FLAGS` overwrites.
         privileged: supervisor mode only (INSTRUCTION ERROR otherwise).
+        syntax: the operands' format string (module docstring, Text);
+            derived when not given.
         fields: the register fields the body and operands use (derived).
         uses_imm: whether they use the immediate (derived).
+        flow: the successor kinds of the body, a subset of
+            ``("target", "indirect", "next")`` (derived).
     """
 
     opcode: Opcode
@@ -126,14 +261,29 @@ class OpSpec:
     psw_read: int = 0
     psw_write: int = 0
     privileged: bool = False
+    syntax: str = ""
     fields: Tuple[str, ...] = field(init=False)
     uses_imm: bool = field(init=False)
+    flow: Tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        source = "\n".join([self.body] + [expr for _, expr in self.operands])
-        names = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
-        object.__setattr__(self, "fields", tuple(f for f in ("rd", "rs1", "rs2") if f in names))
-        object.__setattr__(self, "uses_imm", "imm" in names or "simm" in names)
+        # The operands' expressions parse as trailing expression
+        # statements: names for the fields, nothing for the flow.
+        tree = ast.parse("\n".join([self.body] + [expr for _, expr in self.operands]))
+        names = _names(ast.walk(tree))
+        fields = tuple(f for f in ("rd", "rs1", "rs2") if f in names)
+        immediate = ("simm",) if "simm" in names else ("imm",) if "imm" in names else ()
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "uses_imm", bool(immediate))
+        object.__setattr__(self, "flow", _flow(tree))
+        if not self.syntax:
+            default = ", ".join(f"{{{name}}}" for name in fields + immediate)
+            object.__setattr__(self, "syntax", default)
+
+    @property
+    def mnemonic(self) -> str:
+        """The assembler's name of the opcode."""
+        return self.opcode.name.lower()
 
 
 def _op(opcode: Opcode, body: str, **options) -> OpSpec:
@@ -179,6 +329,9 @@ def _branch(opcode: Opcode, condition: str) -> OpSpec:
     )
 
 
+#: The syntax of LD/ST: the register, then the ``[base+offset]`` address.
+_MEMORY = "{rd}, [{rs1}{simm:+d}]"
+
 #: The specification, in the ISA's order.
 SPEC: Tuple[OpSpec, ...] = (
     # -- system -----------------------------------------------------------
@@ -194,15 +347,18 @@ last_sig = imm
     _op(Opcode.WFI, "HALT()", privileged=True),
     # -- moves and constants ----------------------------------------------
     _op(Opcode.LDI, "WRITE(rd, constant)", operands={"constant": "simm & U32"}),
-    _op(Opcode.LUI, "WRITE(rd, constant)", operands={"constant": "(imm << 16) & U32"}),
-    _op(Opcode.ORI, "WRITE(rd, READ(rd) | imm)"),
+    _op(
+        Opcode.LUI, "WRITE(rd, constant)", operands={"constant": "(imm << 16) & U32"},
+        syntax="{rd}, {imm:#x}",
+    ),
+    _op(Opcode.ORI, "WRITE(rd, READ(rd) | imm)", syntax="{rd}, {imm:#x}"),
     _op(Opcode.MOV, "WRITE(rd, READ(rs1))"),
     # -- memory -----------------------------------------------------------
     _op(Opcode.LD, """
 value = LOAD((READ(rs1) + simm) & U32)
 WRITE(rd, value)
-"""),
-    _op(Opcode.ST, "STORE((READ(rs1) + simm) & U32, READ(rd))"),
+""", syntax=_MEMORY),
+    _op(Opcode.ST, "STORE((READ(rs1) + simm) & U32, READ(rd))", syntax=_MEMORY),
     _op(Opcode.PUSH, """
 PUSH(READ(rd))
 regs[SP] = sp
@@ -293,6 +449,9 @@ if not low <= value <= high:
     raise_detection(Mechanism.CONSTRAINT_ERROR, f"{value!r} outside [{low!r}, {high!r}]")
 """),
 )
+
+#: The spec of each defined opcode, by its number.
+SPEC_BY_CODE: Dict[int, OpSpec] = {int(spec.opcode): spec for spec in SPEC}
 
 #: The opcodes the paper-sized Algorithm I and II references execute,
 #: by their summed dynamic count (``repro.thor.profiler``, 650

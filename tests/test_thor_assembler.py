@@ -103,11 +103,51 @@ class TestErrors:
             "br nowhere",
             "x: nop\nx: nop",
             ".data\nq: .floot 1.0",
+            "add r1, r2, r3, r4",
+            "nop r1",
+            "push r1, r2",
+            "ret 5",
+            "br 1, 2",
+            "ld r1, [r2+0], r3",
         ],
     )
     def test_malformed_source_rejected(self, source):
         with pytest.raises(AssemblyError):
             assemble(source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "sig 70000",
+            "svc 65537",
+            "addi r1, r2, 70000",
+            "lui r1, 0x12345",
+            "ori r1, 99999",
+            "ldi r1, -32769",
+            "sig -32769",
+            "br 32768",
+            "ld r1, [r2+32768]",
+            "st r1, [r2-32769]",
+        ],
+    )
+    def test_out_of_range_immediate_rejected(self, source):
+        with pytest.raises(AssemblyError, match="out of range"):
+            assemble(source)
+
+    @pytest.mark.parametrize(
+        "source, imm",
+        [
+            ("sig 65535", 0xFFFF),
+            ("svc -32768", 0x8000),
+            ("addi r1, r2, -1", 0xFFFF),
+            ("lui r1, 0xffff", 0xFFFF),
+            ("ori r1, 65535", 0xFFFF),
+            ("br -32768", 0x8000),
+            ("ld r1, [r2+32767]", 0x7FFF),
+        ],
+    )
+    def test_immediate_range_bounds_accepted(self, source, imm):
+        assert decode(assemble(source).code[0]).imm == imm
 
     def test_program_too_large_rejected(self):
         source = "\n".join(["nop"] * 1000)

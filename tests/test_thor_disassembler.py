@@ -11,8 +11,14 @@ from repro.thor.disassembler import (
     disassemble_word,
     reassemble_source,
 )
-from repro.thor.isa import IMMEDIATE_OPCODES, Instruction, Opcode, encode
-from repro.workloads import compile_algorithm_i
+from repro.thor.isa import Instruction, encode
+from repro.thor.semantics import SPEC
+from repro.workloads import (
+    compile_algorithm_i,
+    compile_algorithm_ii,
+    compile_pid_algorithm_i,
+    compile_pid_algorithm_ii,
+)
 
 
 class TestDisassembleWord:
@@ -66,8 +72,17 @@ class TestListings:
 
 
 class TestRoundTrip:
-    def test_reassembled_workload_is_identical(self):
-        compiled = compile_algorithm_i()
+    @pytest.mark.parametrize(
+        "compile_workload",
+        [
+            compile_algorithm_i,
+            compile_algorithm_ii,
+            compile_pid_algorithm_i,
+            compile_pid_algorithm_ii,
+        ],
+    )
+    def test_reassembled_workload_is_identical(self, compile_workload):
+        compiled = compile_workload()
         source = reassemble_source(compiled.program)
         again = assemble(source)
         assert again.code == compiled.program.code
@@ -79,32 +94,14 @@ class TestRoundTrip:
         with pytest.raises(AssemblyError):
             reassemble_source(program)
 
-    # Fields each opcode actually uses (unused fields must be zero for
-    # the round-trip to be exact — the assembler always emits them zero).
-    _FIELDS = {
-        Opcode.NOP: (),
-        Opcode.MOV: ("rd", "rs1"),
-        Opcode.ADD: ("rd", "rs1", "rs2"),
-        Opcode.FMUL: ("rd", "rs1", "rs2"),
-        Opcode.LD: ("rd", "rs1", "imm"),
-        Opcode.ST: ("rd", "rs1", "imm"),
-        Opcode.LDI: ("rd", "imm"),
-        Opcode.ADDI: ("rd", "rs1", "imm"),
-        Opcode.CMP: ("rs1", "rs2"),
-        Opcode.PUSH: ("rd",),
-        Opcode.POP: ("rd",),
-        Opcode.SIG: ("imm",),
-        Opcode.SVC: ("imm",),
-    }
-
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(sorted(_FIELDS, key=int)),
+                st.sampled_from(SPEC),
                 st.integers(0, 8),
                 st.integers(0, 8),
                 st.integers(0, 8),
-                st.integers(0, 0x7FFF),
+                st.integers(0, 0xFFFF),
             ),
             min_size=1,
             max_size=30,
@@ -115,17 +112,14 @@ class TestRoundTrip:
         """Disassembling any canonical instruction stream and
         re-assembling it reproduces the identical words."""
         words = []
-        for opcode, rd, rs1, rs2, imm in specs:
-            used = self._FIELDS[opcode]
-            kwargs = {
-                "rd": rd if "rd" in used else 0,
-                "rs1": rs1 if "rs1" in used else 0,
-            }
-            if opcode in IMMEDIATE_OPCODES:
-                kwargs["imm"] = imm if "imm" in used else 0
-            else:
-                kwargs["rs2"] = rs2 if "rs2" in used else 0
-            words.append(encode(Instruction(opcode, **kwargs)))
+        for spec, rd, rs1, rs2, imm in specs:
+            # Fields the spec does not use stay zero, as the assembler
+            # emits them.
+            drawn = {"rd": rd, "rs1": rs1, "rs2": rs2}
+            kwargs = {name: drawn[name] for name in spec.fields}
+            if spec.uses_imm:
+                kwargs["imm"] = imm
+            words.append(encode(Instruction(spec.opcode, **kwargs)))
         source = "\n".join(disassemble_word(word) for word in words)
         program = assemble(source)
         assert list(program.code) == words

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import itertools
 import linecache
+from pathlib import Path
 
 import pytest
 
+import repro.thor
 from repro.thor import cpu as cpu_module
 from repro.thor.cpu import CPU, FLAG_M, StepResult
 from repro.thor.isa import (
@@ -111,3 +114,72 @@ class TestGenerator:
         cpu.psw |= FLAG_M
         assert cpu.run(5) is StepResult.HALTED
         assert cpu.instruction_index == 1 and cpu.pc == cpu.layout.code_base
+
+
+class TestTextAndControlFlow:
+    def test_default_syntax_lists_fields_then_the_immediate(self):
+        syntax = {spec.opcode: spec.syntax for spec in SPEC}
+        assert syntax[Opcode.NOP] == ""
+        assert syntax[Opcode.SIG] == "{imm}"
+        assert syntax[Opcode.LDI] == "{rd}, {simm}"
+        assert syntax[Opcode.ADDI] == "{rd}, {rs1}, {simm}"
+        assert syntax[Opcode.CMP] == "{rs1}, {rs2}"
+        assert syntax[Opcode.CHK] == "{rd}, {rs1}, {rs2}"
+        assert syntax[Opcode.BEQ] == "{simm}"
+
+    def test_flow_is_read_from_the_body(self):
+        flow = {spec.opcode: spec.flow for spec in SPEC}
+        assert flow[Opcode.HALT] == flow[Opcode.WFI] == ()
+        assert flow[Opcode.BR] == flow[Opcode.CALL] == ("target",)
+        assert flow[Opcode.RET] == flow[Opcode.JR] == ("indirect",)
+        conditional = [op for op, kinds in flow.items() if kinds == ("target", "next")]
+        assert conditional == [
+            Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
+            Opcode.BGT, Opcode.BLE, Opcode.BVS,
+        ]
+        ends = set(conditional) | {
+            Opcode.HALT, Opcode.WFI, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.JR
+        }
+        assert all(flow[op] == ("next",) for op in Opcode if op not in ends)
+
+
+def _opcode_displays(tree: ast.AST):
+    """Dict, set, list and tuple displays naming two or more ``Opcode``
+    members (a tuple display feeding a set comprehension is a table too)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            elements = [n for n in node.keys + node.values if n is not None]
+        elif isinstance(node, (ast.Set, ast.List, ast.Tuple)):
+            elements = node.elts
+        else:
+            continue
+        members = [
+            e for e in elements
+            if isinstance(e, ast.Attribute)
+            and isinstance(e.value, ast.Name)
+            and e.value.id == "Opcode"
+        ]
+        if len(members) >= 2:
+            yield node.lineno
+
+
+def test_no_module_restates_per_opcode_tables():
+    """Per-opcode facts live in the spec: no other module of the
+    processor holds a table of opcodes."""
+    package = Path(repro.thor.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("isa.py", "semantics.py")
+        for line in _opcode_displays(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def test_the_guard_finds_a_table():
+    source = (
+        "TABLE = {Opcode.ADD: 'add', Opcode.SUB: 'sub'}\n"
+        "ONE = {Opcode.LUI}\n"
+        "BRANCHES = {int(op) for op in (Opcode.BR, Opcode.BEQ)}\n"
+    )
+    assert list(_opcode_displays(ast.parse(source))) == [1, 3]
