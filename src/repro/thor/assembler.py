@@ -228,9 +228,7 @@ class _Assembler:
         return base, offset & 0xFFFF
 
 
-def _signature_successors(
-    words: List[int], code_base: int
-) -> Dict[int, FrozenSet[int]]:
+def _signature_successors(words: List[int]) -> Dict[int, FrozenSet[int]]:
     """Derive legal SIG-to-SIG transitions from the instruction CFG.
 
     A word's successors follow its spec's ``flow``: its pc-relative
@@ -295,6 +293,6 @@ def assemble(source: str, layout: MemoryLayout = MemoryLayout()) -> Program:
         data=dict(assembler.data),
         symbols=dict(assembler.symbols),
         entry=layout.code_base,
-        signature_successors=_signature_successors(words, layout.code_base),
+        signature_successors=_signature_successors(words),
         source=source,
     )
