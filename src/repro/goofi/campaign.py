@@ -394,7 +394,6 @@ class ScifiCampaign:
         progress: Optional[Callable[[int, int, Outcome], None]] = None,
         workers: int = 1,
         telemetry: Optional[Telemetry] = None,
-        pool: Optional[ReferencePool] = None,
         resume_from: Optional[int] = None,
     ) -> CampaignResult:
         """Execute the campaign: reference run, sampling, injection, analysis.
@@ -405,21 +404,17 @@ class ScifiCampaign:
                 prefix of results completes.
             workers: number of worker processes.  ``1`` (default) runs
                 the chunks in this process; ``N > 1`` fans them out over
-                N processes.  Either way the live plan runs through the
-                same lease-queue chunk loop, in adaptively sized chunks
-                drawn on demand (see ``docs/performance.md``), and the
-                results are bit-identical (every experiment is
-                independent and fully determined by its fault).
+                a pool of N processes that lives for this run.  Either
+                way the live plan runs through the same lease-queue
+                chunk loop, in adaptively sized chunks drawn on demand
+                (see ``docs/performance.md``), and the results are
+                bit-identical (every experiment is independent and fully
+                determined by its fault).
             telemetry: optional :class:`~repro.obs.Telemetry` bundle.
                 When given, the run records phase spans and JSONL
                 events, and folds its events into metrics; worker shards
                 are merged so serial and parallel runs report identical
                 aggregate telemetry.  ``None`` (default) is a no-op.
-            pool: optional :class:`~repro.goofi.pool.ReferencePool` to
-                run the chunks on.  The pool's warm workers are reused
-                (and left running for the caller's next phase); without
-                one a ``workers > 1`` run spins up and tears down its
-                own.  Implies the pool's worker count.
             resume_from: continue the stored campaign with this database
                 id: its completed experiments are reloaded, the fault
                 plan is re-derived from the stored seed/config (refusing
@@ -439,8 +434,6 @@ class ScifiCampaign:
                 codes.
         """
         config = self.config
-        if pool is not None:
-            workers = pool.workers
         if resume_from is not None and self.database is None:
             raise CampaignError("resume_from requires a campaign database")
         span = telemetry.span if telemetry is not None else _null_span
@@ -469,7 +462,7 @@ class ScifiCampaign:
 
         try:
             result = self._run_phases(
-                progress, workers, telemetry, span, pool, resume_from
+                progress, workers, telemetry, span, resume_from
             )
         except KeyboardInterrupt as exc:
             reason = getattr(exc, "reason", None) or "sigint"
@@ -593,7 +586,6 @@ class ScifiCampaign:
         workers: int,
         telemetry: Optional[Telemetry],
         span,
-        pool: Optional[ReferencePool],
         resume_from: Optional[int],
     ) -> CampaignResult:
         config = self.config
@@ -685,7 +677,6 @@ class ScifiCampaign:
                     workers,
                     telemetry,
                     progress,
-                    pool,
                     sink,
                 )
             wall = time.perf_counter() - started
@@ -773,7 +764,6 @@ class ScifiCampaign:
         workers: int,
         telemetry: Optional[Telemetry],
         progress,
-        pool: Optional[ReferencePool],
         sink: ResultSink,
     ) -> None:
         """Simulate ``live_plan`` through the lease-queue chunk loop.
@@ -781,8 +771,9 @@ class ScifiCampaign:
         ``results`` already maps the resumed and predicted plan indices
         to their pairs; the loop adds every simulated and quarantined
         one.  One loop serves every campaign: ``workers > 1`` runs the
-        chunks on a :class:`~repro.goofi.pool.ReferencePool`, ``1`` on
-        an :class:`~repro.goofi.pool.InProcessExecutor` against this
+        chunks on a :class:`~repro.goofi.pool.ReferencePool` that this
+        call spawns and closes, ``1`` on an
+        :class:`~repro.goofi.pool.InProcessExecutor` against this
         campaign's own target.
 
         **Schedule.**  The live plan is cut into plan-order windows of
@@ -806,8 +797,9 @@ class ScifiCampaign:
         is nacked: the queue requeues it with capped exponential
         backoff, bisects it to isolate a poison experiment and — once
         one experiment crosses its kill or failure budget — declares it
-        exhausted, and it is quarantined here.  A chunk that breaks the process pool triggers
-        a pool rebuild; once rebuilds run out, the loop carries on with
+        exhausted, and it is quarantined here.  A chunk that breaks the
+        process pool triggers a pool rebuild (fresh workers from
+        ``prepare``); once rebuilds run out, the loop carries on with
         the in-process executor.
 
         **Recording.**  Results are released in plan order as the
@@ -834,19 +826,15 @@ class ScifiCampaign:
             delta_dataplane=config.delta_dataplane,
         )
         in_process = InProcessExecutor(self.target)
-        own_pool = pool is None and workers > 1
-        if own_pool:
-            pool = ReferencePool(workers)
-        elif pool is None:
-            pool = in_process
-        process_pool = pool
+        process_pool = ReferencePool(workers) if workers > 1 else None
+        pool = in_process if process_pool is None else process_pool
         # ``(submission id, path)`` pairs; ordered numerically before the
         # merge.  Sorting the bare paths would be lexicographic —
         # ``shard10`` before ``shard2`` — as soon as submissions reach 10.
         shards: List[Tuple[int, str]] = []
         released = 0
 
-        if pool is in_process:
+        if process_pool is None:
             work = MemoryQueue(policy)
         elif self.database is not None:
             work = self.database.work_queue(policy)
@@ -992,14 +980,8 @@ class ScifiCampaign:
             return True
 
         try:
-            if pool.prepare(payload):
-                # A warm pool was torn down because its workers were
-                # built for an incompatible payload — surface the cost.
-                emit(
-                    "worker_pool_respawned",
-                    ts=now(),
-                    reason=pool.last_respawn_reason,
-                )
+            if process_pool is not None:
+                process_pool.prepare(payload)
             release_prefix()
             while work.pending(topic) or reservoir or active:
                 broken = False
@@ -1140,7 +1122,7 @@ class ScifiCampaign:
                     if rebuilds <= policy.max_pool_rebuilds:
                         emit("worker_pool_rebuilt", ts=now(), rebuilds=rebuilds)
                         try:
-                            pool.rebuild(payload)
+                            process_pool.prepare(payload)
                             rebuilt = True
                         except Exception:
                             rebuilt = False
@@ -1161,7 +1143,7 @@ class ScifiCampaign:
                 pass
             raise
         finally:
-            if own_pool:
+            if process_pool is not None:
                 process_pool.close()
             work.close()
         self._merge_worker_shards(telemetry, shards)

@@ -358,43 +358,6 @@ class CampaignDatabase:
                 (campaign_id,),
             )
 
-    def store_campaign(self, result) -> int:
-        """Persist a whole :class:`~repro.goofi.campaign.CampaignResult`.
-
-        Kept for API compatibility (campaign runs stream incrementally
-        instead); the campaign row and every experiment commit in one
-        explicit transaction, so a crash mid-store can never leave a
-        campaign row with half its experiments.  Returns the campaign id.
-        """
-        config = result.config
-        rows_iter = zip(result.experiments, result.outcomes)
-        with self._conn:
-            cursor = self._conn.execute(
-                "INSERT INTO campaigns (name, faults, seed, iterations,"
-                " partition_sizes, wall_seconds, schema_version, created_at,"
-                " status)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 'complete')",
-                (
-                    config.name,
-                    config.faults,
-                    config.seed,
-                    config.iterations,
-                    json.dumps(result.partition_sizes),
-                    result.wall_seconds,
-                    DB_SCHEMA_VERSION,
-                    datetime.now(timezone.utc).isoformat(),
-                ),
-            )
-            campaign_id = cursor.lastrowid
-            self._conn.executemany(
-                _EXPERIMENT_INSERT,
-                [
-                    _experiment_row(campaign_id, plan_index, run, outcome)
-                    for plan_index, (run, outcome) in enumerate(rows_iter)
-                ],
-            )
-        return int(campaign_id)
-
     # -- reading ------------------------------------------------------------------
     def list_campaigns(self) -> List[Tuple[int, str, int]]:
         """All stored campaigns as ``(id, name, faults)`` tuples."""

@@ -20,8 +20,8 @@ predicted and simulated outcomes compare equal, which is what lets
 :func:`validate_pruning` assert full per-experiment equivalence.
 
 :func:`validate_pruning` first runs a small throwaway warm-up campaign
-so both timed legs see identical warm-start conditions — process pool
-spawned, dispatch tables built — instead of the first leg silently
+so both timed legs see identical warm-start conditions — dispatch
+tables built, modules imported — instead of the first leg silently
 paying the cold-start tax (which used to bias the reported wall-clock
 ratio *against* pruning).
 """
@@ -129,8 +129,8 @@ class ValidationReport:
             (and, with ``batch_size > 1``, batched) leg.
         unpruned_wall_seconds: injection-phase wall time of the plain
             baseline leg.  Both legs run after a throwaway warm-up
-            campaign, so neither pays the pool-spawn/predecode
-            cold-start tax the other skipped.
+            campaign, so neither pays the predecode cold-start tax the
+            other skipped.
     """
 
     faults: int
@@ -180,19 +180,18 @@ class ValidationReport:
 _WARMUP_FAULTS = 8
 
 
-def _warm_up(config, workers: int, pool) -> None:
+def _warm_up(config, workers: int) -> None:
     """Run a small throwaway campaign before timing anything.
 
-    The first campaign a process (or worker pool) runs pays one-time
-    costs the later ones do not: spawning and initialising the pool
-    workers, populating the process-wide predecode/dispatch tables,
-    importing numpy into each worker.  When ``validate_pruning`` timed
-    its first leg cold and its second leg warm, those costs were
-    silently billed to whichever leg ran first.  This warm-up pays them
-    on a tiny plan (same workload, iterations and watchdog) and its wall
-    time is discarded.  With a pool, each timed leg re-forks its workers
-    once, because the pruned leg's reference carries the liveness table
-    and the plain legs' do not: the two legs pay the same small fork.
+    The first campaign a process runs pays one-time costs the later ones
+    do not: populating the process-wide predecode/dispatch tables and
+    importing what the run needs.  When ``validate_pruning`` timed its
+    first leg cold and its second leg warm, those costs were silently
+    billed to whichever leg ran first.  This warm-up pays them on a tiny
+    plan (same workload, iterations and watchdog) and its wall time is
+    discarded.  With ``workers > 1`` every leg, the warm-up included,
+    forks its own pool; the workers inherit the parent's warmed tables,
+    so the two timed legs pay the same small fork.
     """
     from repro.goofi.campaign import ScifiCampaign
 
@@ -203,10 +202,7 @@ def _warm_up(config, workers: int, pool) -> None:
         prune=False,
         chaos=None,
     )
-    if pool is not None:
-        ScifiCampaign(warm).run(pool=pool)
-    else:
-        ScifiCampaign(warm).run(workers=workers)
+    ScifiCampaign(warm).run(workers=workers)
 
 
 def validate_pruning(config, workers: int = 1) -> ValidationReport:
@@ -223,22 +219,12 @@ def validate_pruning(config, workers: int = 1) -> ValidationReport:
     the reported wall-clock ratio compares two equally warm legs.
     """
     from repro.goofi.campaign import ScifiCampaign
-    from repro.goofi.pool import ReferencePool
 
     candidate_config = replace(config, prune=True)
     baseline_config = replace(config, prune=False, batch_size=1)
-    if workers > 1:
-        # Both runs share one pool.  Their golden runs are
-        # value-identical, but only the pruned leg's carries the
-        # liveness table, so each leg re-forks the workers once.
-        with ReferencePool(workers) as pool:
-            _warm_up(candidate_config, workers, pool)
-            candidate = ScifiCampaign(candidate_config).run(pool=pool)
-            baseline = ScifiCampaign(baseline_config).run(pool=pool)
-    else:
-        _warm_up(candidate_config, workers, None)
-        candidate = ScifiCampaign(candidate_config).run(workers=workers)
-        baseline = ScifiCampaign(baseline_config).run(workers=workers)
+    _warm_up(candidate_config, workers)
+    candidate = ScifiCampaign(candidate_config).run(workers=workers)
+    baseline = ScifiCampaign(baseline_config).run(workers=workers)
     mismatches = [
         (index, p, u)
         for index, (p, u) in enumerate(zip(candidate.outcomes, baseline.outcomes))

@@ -43,9 +43,7 @@ crash-safety machinery acts:
   and was recorded with ``provenance='quarantined'`` (``index``);
 * ``worker_pool_rebuilt`` — the process pool broke and was respawned;
 * ``serial_fallback`` — pool rebuilds were exhausted and the remaining
-  chunks ran in the parent (``experiments``);
-* ``worker_pool_respawned`` — a warm pool built for an incompatible
-  payload was torn down before the run (``reason``).
+  chunks ran in the parent (``experiments``).
 
 Work-queue events (the lease-based dispatch layer shared by every
 campaign's chunk loop and the campaign service, see
@@ -100,9 +98,9 @@ EVENT_TYPES = (
     "experiment_quarantined",
     "worker_pool_rebuilt",
     "serial_fallback",
+    # No longer emitted; kept so event logs written before warm pool
+    # reuse and equivalence collapse were removed still parse.
     "worker_pool_respawned",
-    # No longer emitted; kept so event logs written before equivalence
-    # collapse was removed still parse.
     "equivalence_collapse",
     "dataplane_stats",
     "chunk_resized",

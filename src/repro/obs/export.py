@@ -169,7 +169,6 @@ def status_registry(status: CampaignStatus, progress: bool = True) -> MetricsReg
         ("retries", status.retried_experiments),
         ("worker_pool_rebuilds", status.pool_rebuilds),
         ("serial_fallbacks", status.serial_fallbacks),
-        ("pool_respawns", status.pool_respawns),
     ):
         if value:
             registry.counter(name).inc(value)

@@ -149,7 +149,6 @@ class CampaignStatus:
     jobs_requeued: int = 0
     jobs_split: int = 0
     jobs_exhausted: int = 0
-    pool_respawns: int = 0
     partition_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     mechanism_counts: Dict[str, int] = field(default_factory=dict)
     pruned_counts: Dict[str, int] = field(default_factory=dict)
@@ -347,8 +346,6 @@ class CampaignStatusReducer:
             self._quarantined.add(record.get("index"))
         elif kind == "worker_pool_rebuilt":
             status.pool_rebuilds += 1
-        elif kind == "worker_pool_respawned":
-            status.pool_respawns += 1
         elif kind == "serial_fallback":
             status.serial_fallbacks += 1
         elif kind == "dataplane_stats":

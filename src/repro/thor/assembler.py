@@ -20,7 +20,8 @@ Syntax (one statement per line, ``;`` starts a comment)::
 Every instruction is parsed by its spec's syntax
 (:mod:`repro.thor.semantics`): the operand count must match it, an
 immediate must lie in -0x8000..0xFFFF (stored as its low 16 bits), and
-a memory offset or a pc-relative target in -0x8000..0x7FFF.
+a memory offset or a pc-relative target in -0x8000..0x7FFF.  Every
+:class:`AssemblyError` names its source line.
 
 Pass 1 sizes statements and assigns label addresses (``la`` expands to
 two words); pass 2 encodes.  After encoding, the assembler derives the
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import AssemblyError
 from repro.thor.isa import Instruction, Opcode, encode, register_index
@@ -73,6 +75,15 @@ def _int_literal(text: str) -> int:
         raise AssemblyError(f"bad integer literal {text!r}") from None
 
 
+@contextmanager
+def _on_line(line_no: int) -> Iterator[None]:
+    """Prefix every :class:`AssemblyError` raised inside with its line."""
+    try:
+        yield
+    except AssemblyError as exc:
+        raise AssemblyError(f"line {line_no}: {exc}") from None
+
+
 class _Assembler:
     def __init__(self, source: str, layout: MemoryLayout):
         self.source = source
@@ -108,9 +119,10 @@ class _Assembler:
                 section = mnemonic
                 continue
             if section in (".data", ".rodata"):
-                cursors[section] = self._assemble_data(
-                    line_no, mnemonic, operands, cursors[section]
-                )
+                with _on_line(line_no):
+                    cursors[section] = self._assemble_data(
+                        mnemonic, operands, cursors[section]
+                    )
                 continue
             code_address = cursors[".text"]
             words = 2 if mnemonic == "la" else 1
@@ -128,18 +140,22 @@ class _Assembler:
                 return candidate, rest.strip()
         return None, line
 
-    def _assemble_data(
-        self, line_no: int, mnemonic: str, operands: List[str], address: int
-    ) -> int:
+    def _assemble_data(self, mnemonic: str, operands: List[str], address: int) -> int:
+        if not operands:
+            raise AssemblyError(f"{mnemonic} takes at least 1 operand")
         if mnemonic == ".float":
             words = [_float_word(op) for op in operands]
         elif mnemonic == ".word":
             words = [_int_literal(op) & 0xFFFFFFFF for op in operands]
         elif mnemonic == ".space":
+            if len(operands) > 1:
+                raise AssemblyError(f".space takes 1 operand, got {len(operands)}")
             count = _int_literal(operands[0])
+            if count < 0:
+                raise AssemblyError(f".space count {count} is negative")
             words = [0] * count
         else:
-            raise AssemblyError(f"line {line_no}: unknown data directive {mnemonic!r}")
+            raise AssemblyError(f"unknown data directive {mnemonic!r}")
         for word in words:
             self.data[address] = word
             address += WORD
@@ -149,32 +165,32 @@ class _Assembler:
     def second_pass(self) -> List[int]:
         words: List[int] = []
         for statement in self.statements:
-            words.extend(self._encode_statement(statement))
+            with _on_line(statement.line_no):
+                words.extend(self._encode_statement(statement))
         return words
 
-    def _resolve_imm(self, text: str, line_no: int) -> int:
+    def _resolve_imm(self, text: str) -> int:
         match = _HI_LO.match(text)
         if match:
             kind, symbol = match.groups()
-            address = self._symbol(symbol, line_no)
+            address = self._symbol(symbol)
             return (address >> 16) & 0xFFFF if kind == "hi" else address & 0xFFFF
         if text in self.symbols:
             return self.symbols[text]
         return _int_literal(text)
 
-    def _symbol(self, name: str, line_no: int) -> int:
+    def _symbol(self, name: str) -> int:
         if name not in self.symbols:
-            raise AssemblyError(f"line {line_no}: unknown symbol {name!r}")
+            raise AssemblyError(f"unknown symbol {name!r}")
         return self.symbols[name]
 
     def _encode_statement(self, st: _Statement) -> List[int]:
         m = st.mnemonic
         ops = st.operands
-        n = st.line_no
         if m == "la":
-            if len(ops) < 2:
-                raise AssemblyError(f"line {n}: malformed operands for {m!r}")
-            address = self._symbol(ops[1], n)
+            if len(ops) != 2:
+                raise AssemblyError(f"'la' takes 2 operands, got {len(ops)}")
+            address = self._symbol(ops[1])
             rd = register_index(ops[0])
             return [
                 encode(Instruction(Opcode.LUI, rd=rd, imm=(address >> 16) & 0xFFFF)),
@@ -182,24 +198,22 @@ class _Assembler:
             ]
         spec = _BY_MNEMONIC.get(m)
         if spec is None:
-            raise AssemblyError(f"line {n}: unknown mnemonic {m!r}")
+            raise AssemblyError(f"unknown mnemonic {m!r}")
         forms = spec.syntax.split(", ") if spec.syntax else []
         if len(ops) != len(forms):
-            raise AssemblyError(
-                f"line {n}: {m!r} takes {len(forms)} operands, got {len(ops)}"
-            )
+            raise AssemblyError(f"{m!r} takes {len(forms)} operands, got {len(ops)}")
         fields: Dict[str, int] = {}
         for form, text in zip(forms, ops):
             if form.startswith("["):
-                fields["rs1"], fields["imm"] = self._mem_operand(text, n)
+                fields["rs1"], fields["imm"] = self._mem_operand(text)
             elif form in ("{rd}", "{rs1}", "{rs2}"):
                 fields[form[1:-1]] = register_index(text)
             elif "target" in spec.flow:
                 fields["imm"] = self._branch_target(text, st)
             else:
-                imm = self._resolve_imm(text, n)
+                imm = self._resolve_imm(text)
                 if not -0x8000 <= imm <= 0xFFFF:
-                    raise AssemblyError(f"line {n}: {m} immediate {imm} out of range")
+                    raise AssemblyError(f"{m} immediate {imm} out of range")
                 fields["imm"] = imm & 0xFFFF
         return [encode(Instruction(spec.opcode, **fields))]
 
@@ -209,22 +223,22 @@ class _Assembler:
         else:
             delta = _int_literal(operand)
         if not -0x8000 <= delta <= 0x7FFF:
-            raise AssemblyError(f"line {st.line_no}: branch target out of range")
+            raise AssemblyError("branch target out of range")
         return delta & 0xFFFF
 
-    def _mem_operand(self, text: str, line_no: int) -> Tuple[int, int]:
+    def _mem_operand(self, text: str) -> Tuple[int, int]:
         match = _MEM_OPERAND.match(text)
         if not match:
-            raise AssemblyError(f"line {line_no}: bad memory operand {text!r}")
+            raise AssemblyError(f"bad memory operand {text!r}")
         base_text, sign, offset_text = match.groups()
         base = register_index(base_text)
         offset = 0
         if offset_text is not None:
-            offset = self._resolve_imm(offset_text, line_no)
+            offset = self._resolve_imm(offset_text)
             if sign == "-":
                 offset = -offset
         if not -0x8000 <= offset <= 0x7FFF:
-            raise AssemblyError(f"line {line_no}: memory offset out of range")
+            raise AssemblyError("memory offset out of range")
         return base, offset & 0xFFFF
 
 

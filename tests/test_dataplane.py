@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import render_outcome_table
+from repro.errors import CampaignAborted
 from repro.faults.models import sample_fault_plan
 from repro.goofi.campaign import CampaignConfig, ScifiCampaign
+from repro.goofi.database import CampaignDatabase
 from repro.goofi.dataplane import CheckpointStore, SplicedOutputs
 from repro.goofi.environment import EngineEnvironment
-from repro.goofi.pool import ReferencePool, WorkerPayload
 from repro.goofi.target import TargetSystem
 from repro.obs.events import read_events
 from repro.obs.status import campaign_status
@@ -252,24 +253,6 @@ class TestSplicedOutputs:
         assert list(view) == source and len(view) == 3
 
 
-class TestWorkerPayload:
-    def test_plane_mismatch_forces_respawn(self, algorithm_i_compiled, planes):
-        def payload(delta):
-            return WorkerPayload(
-                workload=algorithm_i_compiled,
-                iterations=ITERATIONS,
-                watchdog_factor=10.0,
-                environment_factory=EngineEnvironment,
-                reference=planes[0].reference,
-                delta_dataplane=delta,
-            )
-
-        pool = ReferencePool(workers=1)
-        pool._payload = payload(True)
-        assert pool._incompatibility(payload(True)) is None
-        assert pool._incompatibility(payload(False)) == "delta_dataplane"
-
-
 def _campaign_config(workload, **overrides):
     defaults = dict(
         workload=workload, name="dataplane-test", faults=24, seed=5,
@@ -372,6 +355,63 @@ class TestLocalityScheduling:
         baseline = ScifiCampaign(_campaign_config(algorithm_i_compiled)).run()
         result = ScifiCampaign(config).run(workers=2)
         assert result.outcomes == baseline.outcomes
+
+
+def _resumed(config):
+    """Abort ``config``'s campaign a third of the way in, then resume it."""
+
+    def interrupt(done, _total, _outcome):
+        if done >= config.faults // 3:
+            raise KeyboardInterrupt
+
+    database = CampaignDatabase(":memory:")
+    with pytest.raises(CampaignAborted) as aborted:
+        ScifiCampaign(config, database=database).run(progress=interrupt)
+    return ScifiCampaign(config, database=database).run(
+        resume_from=aborted.value.campaign_id
+    )
+
+
+class TestPlaneEquivalence:
+    """Both planes give the same outcomes and Table 2/3 text on every
+    execution path: serial, a two-worker pool, and a run aborted a third
+    of the way in and resumed."""
+
+    @pytest.fixture(scope="class")
+    def legacy_serial(self, algorithm_i_compiled):
+        config = _campaign_config(
+            algorithm_i_compiled, iterations=60, delta_dataplane=False
+        )
+        return ScifiCampaign(config).run()
+
+    @pytest.mark.parametrize(
+        "delta, path",
+        [
+            (True, "serial"),
+            (True, "workers2"),
+            (True, "resumed"),
+            (False, "workers2"),
+            (False, "resumed"),
+        ],
+        ids=["delta-serial", "delta-workers2", "delta-resumed",
+             "legacy-workers2", "legacy-resumed"],
+    )
+    def test_matches_legacy_serial(
+        self, algorithm_i_compiled, legacy_serial, delta, path
+    ):
+        config = _campaign_config(
+            algorithm_i_compiled, iterations=60, delta_dataplane=delta
+        )
+        if path == "serial":
+            result = ScifiCampaign(config).run()
+        elif path == "workers2":
+            result = ScifiCampaign(config).run(workers=2)
+        else:
+            result = _resumed(config)
+        assert result.outcomes == legacy_serial.outcomes
+        assert render_outcome_table(result.summary()) == render_outcome_table(
+            legacy_serial.summary()
+        )
 
 
 class TestObsFolding:

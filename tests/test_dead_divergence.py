@@ -21,7 +21,6 @@ from repro.faults.models import FaultDescriptor, FaultTarget, sample_fault_plan
 from repro.faults.multibit import MultiBitFault, sample_multibit_plan
 from repro.goofi import CampaignConfig, ScifiCampaign
 from repro.goofi.environment import EngineEnvironment
-from repro.goofi.pool import _references_equivalent
 from repro.goofi.target import TargetSystem
 from repro.thor.cpu import PSW_BITS
 from repro.thor.memory import WORD
@@ -366,19 +365,3 @@ class TestCampaignEquivalence:
             assert list(got.outputs) == list(want.outputs)
             assert got.final_state_differs == want.final_state_differs
 
-
-class TestPoolCompatibility:
-    def test_table_presence_is_part_of_reference_identity(
-        self, algorithm_i_compiled
-    ):
-        """Workers run the exit exactly when their adopted reference has
-        a table, so a warm pool is reused only across the same kind."""
-        plain = TargetSystem(workload=algorithm_i_compiled, iterations=10)
-        recorded = TargetSystem(workload=algorithm_i_compiled, iterations=10)
-        a = plain.run_reference()
-        b = recorded.run_reference(record_access=True)
-        c = TargetSystem(
-            workload=algorithm_i_compiled, iterations=10
-        ).run_reference(record_access=True)
-        assert not _references_equivalent(a, b)
-        assert _references_equivalent(b, c)

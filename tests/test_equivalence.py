@@ -1,11 +1,12 @@
 """Batched execution and the old collapse data: batch-engine
 equivalence, campaign-level pruning + batching equivalence, schema-v5
-``'equivalent'`` rows and event logs that stay readable, the warm
-pruning-validation harness and the pool compatibility fingerprint."""
+``'equivalent'`` rows and event logs that stay readable, and the warm
+pruning-validation harness."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sqlite3
 from dataclasses import replace
 
@@ -20,7 +21,6 @@ from repro.goofi import (
     validate_pruning,
 )
 from repro.goofi.environment import EngineEnvironment
-from repro.goofi.pool import ReferencePool, WorkerPayload, _factories_equivalent
 from repro.goofi.target import TargetSystem
 from repro.obs.events import read_events
 from repro.obs.status import campaign_status
@@ -311,7 +311,7 @@ class TestWarmValidation:
                     "name": self.config.name,
                     "prune": self.config.prune,
                     "batch_size": self.config.batch_size,
-                    "pool": kwargs.get("pool"),
+                    "workers": kwargs.get("workers", 1),
                 }
             )
             return original(self, *args, **kwargs)
@@ -333,18 +333,18 @@ class TestWarmValidation:
         assert not calls[0]["prune"]
         assert [c["prune"] for c in calls[1:]] == [True, False]
 
-    def test_parallel_legs_share_one_warm_pool(
+    def test_parallel_legs_each_run_their_own_pool(
         self, monkeypatch, algorithm_i_compiled
     ):
         calls = self._record_runs(monkeypatch)
         config = CampaignConfig(
             workload=algorithm_i_compiled, faults=24, iterations=20
         )
+        before = set(multiprocessing.active_children())
         report = validate_pruning(config, workers=2)
         assert report.ok
-        assert len(calls) == 3
-        pools = {id(c["pool"]) for c in calls}
-        assert len(pools) == 1 and None not in {c["pool"] for c in calls}
+        assert [c["workers"] for c in calls] == [2, 2, 2]
+        assert set(multiprocessing.active_children()) <= before
 
     def test_validate_collapse_baseline_is_plain(
         self, monkeypatch, algorithm_i_compiled
@@ -365,50 +365,3 @@ class TestWarmValidation:
             (c["prune"], c["batch_size"]) for c in calls
         ] == [(False, 4), (True, 4), (False, 1)]
 
-
-# -- pool compatibility fingerprint --------------------------------------------
-class TestPoolFactoryFingerprint:
-    def test_module_level_factories_match_by_identity_and_name(self):
-        assert _factories_equivalent(EngineEnvironment, EngineEnvironment)
-
-    def test_equal_named_callables_match_without_identity(self):
-        import importlib
-
-        module = importlib.import_module("repro.goofi.environment")
-        assert _factories_equivalent(
-            module.EngineEnvironment, EngineEnvironment
-        )
-
-    def test_lambdas_only_match_by_identity(self):
-        make_a = lambda: EngineEnvironment()  # noqa: E731
-        make_b = lambda: EngineEnvironment()  # noqa: E731
-        assert _factories_equivalent(make_a, make_a)
-        assert not _factories_equivalent(make_a, make_b)
-
-    def test_prepare_reports_forced_respawn_reason(self, algorithm_i_compiled):
-        reference = TargetSystem(
-            workload=algorithm_i_compiled, iterations=10
-        ).run_reference()
-
-        def payload(factory):
-            return WorkerPayload(
-                workload=algorithm_i_compiled,
-                iterations=10,
-                watchdog_factor=10.0,
-                environment_factory=factory,
-                reference=reference,
-            )
-
-        pool = ReferencePool(1)
-        try:
-            assert pool.prepare(payload(EngineEnvironment)) is False
-            # An equal importable factory keeps the warm pool.
-            import importlib
-
-            module = importlib.import_module("repro.goofi.environment")
-            assert pool.prepare(payload(module.EngineEnvironment)) is False
-            # A local factory has no stable fingerprint: forced respawn.
-            assert pool.prepare(payload(lambda: EngineEnvironment())) is True
-            assert pool.last_respawn_reason == "environment_factory"
-        finally:
-            pool.close()

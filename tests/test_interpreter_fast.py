@@ -22,7 +22,6 @@ from repro.faults.models import (
 )
 from repro.goofi.campaign import CampaignConfig, ScifiCampaign
 import repro.goofi.target as target_module
-from repro.goofi.pool import ReferencePool
 from repro.goofi.target import TargetSystem, _hash_state, _hash_state_fresh
 from repro.thor.cpu import CPU, PSW_MASK, StepResult
 from repro.thor.scanchain import CACHE_PARTITION, REGISTER_PARTITION, ScanChain
@@ -208,28 +207,14 @@ class TestSharedReferenceEquivalence:
             assert list(a.outputs) == list(b.outputs)
             assert a.instructions_executed == b.instructions_executed
 
-    def test_persistent_pool_reused_across_runs(self, workload):
-        config = CampaignConfig(workload=workload, faults=20, iterations=ITER)
-        serial = ScifiCampaign(config).run()
-        with ReferencePool(2) as pool:
-            first = ScifiCampaign(config).run(pool=pool)
-            executor = pool._executor
-            second = ScifiCampaign(config).run(pool=pool)
-            # Compatible payloads must not respawn the workers.
-            assert pool._executor is executor
-        assert serial.outcomes == first.outcomes == second.outcomes
-
     def test_pool_reused_across_scifi_and_prerun_phases(self, workload):
         config = CampaignConfig(workload=workload, faults=20, iterations=ITER)
         prerun = _image_config(workload, 10)
         serial_scifi = ScifiCampaign(config).run()
         serial_pre = ScifiCampaign(prerun).run()
-        with ReferencePool(2) as pool:
-            pooled_scifi = ScifiCampaign(config).run(pool=pool)
-            executor = pool._executor
-            pooled_pre = ScifiCampaign(prerun).run(pool=pool)
-            # Both phases ship the same golden run: no respawn.
-            assert pool._executor is executor
+        # Each pooled phase spawns and closes its own pool.
+        pooled_scifi = ScifiCampaign(config).run(workers=2)
+        pooled_pre = ScifiCampaign(prerun).run(workers=2)
         assert serial_scifi.outcomes == pooled_scifi.outcomes
         assert serial_pre.outcomes == pooled_pre.outcomes
 

@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.goofi import CampaignConfig, CampaignDatabase, ScifiCampaign
 from repro.goofi.database import DB_SCHEMA_VERSION
+from repro.obs.export import status_registry
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -308,6 +309,35 @@ class TestEventSummary:
     def test_empty_stream_rejected(self):
         with pytest.raises(ObservabilityError):
             render_events_summary([])
+
+    def test_old_pool_respawn_event_still_folds(self, algorithm_i_compiled, tmp_path):
+        """Logs written while warm pools were reused across campaigns may
+        hold ``worker_pool_respawned``; nothing emits it now, and every
+        reader folds it as a no-op."""
+        path = str(tmp_path / "events.jsonl")
+        with Telemetry(events_path=path) as telemetry:
+            ScifiCampaign(_config(algorithm_i_compiled)).run(telemetry=telemetry)
+        events = read_events(path)
+        assert "worker_pool_respawned" not in {e["event"] for e in events}
+        old = list(events)
+        old.insert(
+            1,
+            {
+                "schema_version": SCHEMA_VERSION,
+                "event": "worker_pool_respawned",
+                "ts": events[0]["ts"],
+                "reason": "reference",
+            },
+        )
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in old:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        assert read_events(path) == old
+        assert campaign_status(old).to_dict() == campaign_status(events).to_dict()
+        assert status_registry(campaign_status(old)).to_dict() == status_registry(
+            campaign_status(events)
+        ).to_dict()
+        assert render_events_summary(old) == render_events_summary(events)
 
 
 class TestObsCli:

